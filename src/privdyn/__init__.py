@@ -11,7 +11,6 @@ from .params import (
     Neighboring,
     NonDividingBatch,
     NonPositive,
-    RdpCurve,
     RdpPoint,
     StepsizeTooLarge,
     load_config,
@@ -25,15 +24,11 @@ from .params import (
 from .dynamics import (
     FixedBatchBound,
     IndexOutOfRange,
-    LsiSequence,
-    RecursionStep,
     bound_convex_fixed,
     bound_fixed,
     bound_naive_baseline,
     bound_strongly_convex_fixed,
     eps0_term,
-    lsi_constant,
-    recursion_coefficients,
 )
 from .sampling import (
     SampWoState,
@@ -41,7 +36,6 @@ from .sampling import (
     WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
-    check_joint_convexity,
     mixture_bound,
     samp_wo_limit,
     samp_wo_log_states,
@@ -51,9 +45,7 @@ from .baselines import (
     SgmParams,
     mixing_diffusion_first_batch,
     mixing_diffusion_last_batch,
-    sgm_composition,
     sgm_eps,
-    sgm_epoch_approximation,
     sgm_rdp_per_step,
 )
 from .convert import (

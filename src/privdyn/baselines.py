@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import _check_alpha, _require_strongly_convex
+from .dynamics import _check_alpha, _require_strongly_convex, _require_two_batches
 from .numerics import contraction_pow, logsumexp
-from .params import AccountingError, AccountingParams, RdpCurve, validate
+from .params import AccountingError, AccountingParams
 
 __all__ = [
     "NonIntegerOrder",
@@ -21,8 +21,6 @@ __all__ = [
     "sgm_rdp_per_step",
     "sgm_rdp_per_step_any_order",
     "sgm_eps",
-    "sgm_composition",
-    "sgm_epoch_approximation",
     "mixing_diffusion_first_batch",
     "mixing_diffusion_last_batch",
 ]
@@ -46,7 +44,6 @@ class SgmParams:
 
     @classmethod
     def from_params(cls, params: AccountingParams) -> "SgmParams":
-        validate(params)
         sens = params.eta * params.s_g / params.b
         sigma_eff = math.sqrt(2.0 * params.eta * params.sigma**2) / sens
         return cls(q=params.q, sigma_eff=sigma_eff, steps=params.steps)
@@ -109,23 +106,6 @@ def sgm_eps(params: AccountingParams, alpha: float, epochs: int | None = None) -
     return k * params.m * per_step
 
 
-def sgm_composition(params: AccountingParams, alpha: float) -> RdpCurve:
-    """SGM composition curve: eps(k) = k*m*per_step for k = 1..params.epochs."""
-    validate(params)
-    sgm = SgmParams.from_params(params)
-    per_step, _ = sgm_rdp_per_step_any_order(sgm.q, sgm.sigma_eff, alpha)
-    per_epoch = params.m * per_step
-    points = tuple((k, k * per_epoch) for k in range(1, params.epochs + 1))
-    return RdpCurve(alpha=float(alpha), points=points)
-
-
-def sgm_epoch_approximation(params: AccountingParams, alpha: float) -> float:
-    """Leading-term per-epoch approximation q * eps1 (documentation plots only)."""
-    validate(params)
-    _check_alpha(alpha)
-    return params.q * params.eps1(alpha)
-
-
 def _mixing_slope(params: AccountingParams, alpha: float) -> float:
     """Per-epoch first-batch increment of the mixing-and-diffusion bound.
 
@@ -142,9 +122,9 @@ def _mixing_slope(params: AccountingParams, alpha: float) -> float:
 
 def mixing_diffusion_first_batch(params: AccountingParams, alpha: float) -> float:
     """Mixing-and-diffusion + composition bound for first-batch records: slope * K."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "mixing_diffusion_first_batch")
+    _require_two_batches(params, "mixing_diffusion_first_batch")
     return _mixing_slope(params, alpha) * params.epochs
 
 
@@ -154,9 +134,9 @@ def mixing_diffusion_last_batch(params: AccountingParams, alpha: float) -> float
     min(2*K*eps1, slope*(K-1) + eps1): the capped branch only matters for
     the first epoch, where the additive eps1 term has not amortized yet.
     """
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "mixing_diffusion_last_batch")
+    _require_two_batches(params, "mixing_diffusion_last_batch")
     if params.epochs == 0:
         return 0.0
     eps1 = params.eps1(alpha)

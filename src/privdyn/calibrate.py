@@ -1,19 +1,22 @@
-"""Inverse problems: solve for the noise scale or the epoch budget that
-meets a target (eps, delta) under a chosen bound family."""
+"""Bound-family registry and inverse problems: every bound family by its
+CLI name, and the solvers for the noise scale or the epoch budget that
+meets a target (eps, delta)."""
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 from . import baselines, dynamics, sampling
 from .convert import rdp_to_dp
-from .params import AccountingError, AccountingParams, RdpPoint, validate, with_epochs, with_sigma
+from .params import AccountingError, AccountingParams, RdpPoint, with_epochs, with_sigma
 
 __all__ = [
     "Unsatisfiable",
     "BracketTooNarrow",
+    "Family",
     "BoundKind",
     "MaxedOut",
     "MAXED_OUT",
@@ -33,12 +36,107 @@ class BracketTooNarrow(AccountingError):
     """Degenerate search bracket."""
 
 
+Bound = Callable[[AccountingParams, float], float]
+
+
+@dataclass(frozen=True, slots=True)
+class Family:
+    """One bound family at one order alpha.
+
+    ``eps`` is the RDP bound at params.epochs; ``limit`` its K -> infinity
+    limit (inf for the families that grow linearly in K); ``whole_curve``,
+    when set, returns eps at K = 1..params.epochs in one pass.
+
+    The entries call into the other layers through module attributes
+    (``sampling.bound_shuffle``, not a captured function), so a wrapper
+    installed on a module binding sees every call.
+    """
+
+    eps: Bound
+    limit: Bound = lambda params, alpha: math.inf
+    whole_curve: Optional[Callable[[AccountingParams, float], list[float]]] = None
+
+    def curve(self, params: AccountingParams, alpha: float) -> list[float]:
+        """eps at K = 1..params.epochs."""
+        if self.whole_curve is not None:
+            return self.whole_curve(params, alpha)
+        return [self.eps(with_epochs(params, k), alpha) for k in range(1, params.epochs + 1)]
+
+
+def _fixed_partition(j0_of: Callable[[AccountingParams], int]) -> Family:
+    """The fixed-partition bound for the record in batch j0_of(params)."""
+
+    def limit(params: AccountingParams, alpha: float) -> float:
+        if params.regularity.strongly_convex:
+            return dynamics.fixed_bound_limit(params, alpha, j0_of(params))
+        return math.inf  # convex fixed bound grows linearly in K
+
+    return Family(eps=lambda p, a: dynamics.bound_fixed(p, a, j0_of(p)).eps, limit=limit)
+
+
+def _j0_missing(params: AccountingParams) -> int:
+    raise AccountingError("kind fixed needs the batch index j0 of the differing record (--j0)")
+
+
+def _shuffle_limit(params: AccountingParams, alpha: float) -> float:
+    # the last-batch limit minus its eps0(1) tail is the limit of the head term
+    head = dynamics.fixed_bound_limit(params, alpha, params.m - 1) - dynamics.eps0_term(
+        params, alpha, 1
+    )
+    return head + sampling.shuffle_avg_term(params, alpha)
+
+
+def _samp_wo_curve(params: AccountingParams, alpha: float) -> list[float]:
+    # one pass of the recursion yields every epoch boundary
+    trace = sampling.samp_wo_log_states(params, alpha)
+    return [state.log_s / (alpha - 1.0) for state in trace[params.m :: params.m]]
+
+
+_LAST_BATCH = _fixed_partition(lambda p: p.m - 1)
+
+
 class BoundKind(enum.Enum):
-    SHUFFLE = "shuffle"
-    SAMP_WO = "samp-wo"
-    FIXED_LAST_BATCH = "fixed-last"
-    SGM_COMPOSITION = "sgm"
-    NAIVE = "naive"
+    """Every bound family, by its CLI name; ``kind.family`` evaluates it.
+
+    This enum is the one table of families: the solvers, ``evaluate_bound``,
+    ``bound_limit`` and every CLI subcommand resolve kinds through it.
+    """
+
+    SHUFFLE = "shuffle", Family(
+        eps=lambda p, a: sampling.bound_shuffle(p, a).eps, limit=_shuffle_limit
+    )
+    SAMP_WO = "samp-wo", Family(
+        eps=lambda p, a: sampling.bound_samp_wo_replacement(p, a),
+        limit=lambda p, a: sampling.samp_wo_limit(p, a),
+        whole_curve=_samp_wo_curve,
+    )
+    FIXED_LAST_BATCH = "fixed-last", _LAST_BATCH
+    IMPROVED_LAST = "improved-last", _LAST_BATCH
+    IMPROVED_FIRST = "improved-first", _fixed_partition(lambda p: 0)
+    FIXED = "fixed", _fixed_partition(_j0_missing)
+    SGM_COMPOSITION = "sgm", Family(eps=lambda p, a: baselines.sgm_eps(p, a))
+    NAIVE = "naive", Family(
+        eps=lambda p, a: dynamics.bound_naive_baseline(p, a),
+        limit=lambda p, a: dynamics.naive_baseline_limit(p, a),
+    )
+    MIXING_DIFFUSION_FIRST = "mixing-diffusion-first", Family(
+        eps=lambda p, a: baselines.mixing_diffusion_first_batch(p, a)
+    )
+    MIXING_DIFFUSION_LAST = "mixing-diffusion-last", Family(
+        eps=lambda p, a: baselines.mixing_diffusion_last_batch(p, a)
+    )
+
+    def __new__(cls, value: str, family: Family) -> "BoundKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.family = family
+        return member
+
+    def at(self, j0: Optional[int] = None) -> Family:
+        """This kind's family; kind fixed takes the batch index j0 from the caller."""
+        if self is BoundKind.FIXED and j0 is not None:
+            return _fixed_partition(lambda p: j0)
+        return self.family
 
 
 class MaxedOut(enum.Enum):
@@ -52,42 +150,14 @@ MAXED_OUT = MaxedOut.MAXED_OUT
 
 def evaluate_bound(params: AccountingParams, alpha: float, kind: BoundKind) -> float:
     """RDP eps of one bound family at params.epochs."""
-    validate(params)
     if params.epochs == 0:
         return 0.0
-    if kind is BoundKind.SHUFFLE:
-        return sampling.bound_shuffle(params, alpha).eps
-    if kind is BoundKind.SAMP_WO:
-        return sampling.bound_samp_wo_replacement(params, alpha)
-    if kind is BoundKind.FIXED_LAST_BATCH:
-        return dynamics.bound_fixed(params, alpha, params.m - 1).eps
-    if kind is BoundKind.SGM_COMPOSITION:
-        return baselines.sgm_eps(params, alpha)
-    if kind is BoundKind.NAIVE:
-        return dynamics.bound_naive_baseline(params, alpha)
-    raise AccountingError(f"unknown bound kind {kind!r}")
+    return kind.family.eps(params, alpha)
 
 
 def bound_limit(params: AccountingParams, alpha: float, kind: BoundKind) -> float:
     """K -> infinity limit of a bound family (inf for the linear baselines)."""
-    validate(params)
-    if kind is BoundKind.SHUFFLE:
-        j0 = params.m - 1
-        first = dynamics.fixed_bound_limit(params, alpha, j0) - dynamics.eps0_term(
-            params, alpha, params.m - j0
-        )
-        return first + sampling.shuffle_avg_term(params, alpha)
-    if kind is BoundKind.SAMP_WO:
-        return sampling.samp_wo_limit(params, alpha)
-    if kind is BoundKind.FIXED_LAST_BATCH:
-        if params.regularity.strongly_convex:
-            return dynamics.fixed_bound_limit(params, alpha, params.m - 1)
-        return math.inf  # convex fixed bound grows linearly in K
-    if kind is BoundKind.SGM_COMPOSITION:
-        return math.inf
-    if kind is BoundKind.NAIVE:
-        return dynamics.naive_baseline_limit(params, alpha)
-    raise AccountingError(f"unknown bound kind {kind!r}")
+    return kind.family.limit(params, alpha)
 
 
 def converted_eps(
@@ -101,6 +171,11 @@ def converted_eps(
         RdpPoint(alpha=a, eps=evaluate_bound(params, a, kind)) for a in alpha_grid
     ]
     return rdp_to_dp(points, delta).eps
+
+
+def _check_target(target_eps: float) -> None:
+    if not (target_eps > 0 and math.isfinite(target_eps)):
+        raise AccountingError(f"target_eps must be positive and finite, got {target_eps!r}")
 
 
 def calibrate_noise(
@@ -119,8 +194,7 @@ def calibrate_noise(
     toward larger sigma (the bisection keeps the feasible endpoint). The
     incoming params.sigma is ignored; the bracket is searched directly.
     """
-    if not target_eps > 0:
-        raise AccountingError(f"target_eps must be positive, got {target_eps!r}")
+    _check_target(target_eps)
     lo, hi = bracket
     if not (lo > 0 and hi > lo):
         raise BracketTooNarrow(f"bad sigma bracket {bracket!r}")
@@ -158,8 +232,7 @@ def max_epochs(
     sentinel when the bound's K -> infinity limit already satisfies it
     (converging families admit unlimited epochs).
     """
-    if not target_eps > 0:
-        raise AccountingError(f"target_eps must be positive, got {target_eps!r}")
+    _check_target(target_eps)
 
     def eps_at(k: int) -> float:
         return converted_eps(with_epochs(params, k), alpha_grid, delta, kind)

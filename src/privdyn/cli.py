@@ -11,13 +11,15 @@ flags produce byte-identical output unless --timestamp is passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from . import baselines, calibrate, convert, dynamics, oracle, sampling
+from . import baselines, calibrate, convert, oracle
+from .calibrate import BoundKind
 from .params import (
     AccountingError,
     AccountingParams,
@@ -25,10 +27,9 @@ from .params import (
     load_config,
     make_params,
     sigma_from_multiplier,
-    with_epochs,
 )
 
-__all__ = ["main", "BOUND_KINDS"]
+__all__ = ["main"]
 
 _FLOAT_FMT = ".17g"
 
@@ -37,31 +38,12 @@ def _fmt(value: float) -> str:
     return format(value, _FLOAT_FMT)
 
 
-def _kind_fixed(j0_of: Callable[[AccountingParams], int]):
-    def run(params: AccountingParams, alpha: float, j0: Optional[int]) -> float:
-        return dynamics.bound_fixed(params, alpha, j0_of(params)).eps
-
-    return run
-
-
-def _kind_fixed_j0(params: AccountingParams, alpha: float, j0: Optional[int]) -> float:
-    if j0 is None:
-        raise AccountingError("--j0 is required for --kind fixed")
-    return dynamics.bound_fixed(params, alpha, j0).eps
-
-
-BOUND_KINDS: dict[str, Callable[[AccountingParams, float, Optional[int]], float]] = {
-    "improved-first": _kind_fixed(lambda p: 0),
-    "improved-last": _kind_fixed(lambda p: p.m - 1),
-    "fixed-last": _kind_fixed(lambda p: p.m - 1),
-    "fixed": _kind_fixed_j0,
-    "shuffle": lambda p, a, j0: sampling.bound_shuffle(p, a).eps,
-    "samp-wo": lambda p, a, j0: sampling.bound_samp_wo_replacement(p, a),
-    "naive": lambda p, a, j0: dynamics.bound_naive_baseline(p, a),
-    "sgm": lambda p, a, j0: baselines.sgm_eps(p, a),
-    "mixing-diffusion-first": lambda p, a, j0: baselines.mixing_diffusion_first_batch(p, a),
-    "mixing-diffusion-last": lambda p, a, j0: baselines.mixing_diffusion_last_batch(p, a),
-}
+def _kind(name: str, flag: str) -> BoundKind:
+    try:
+        return BoundKind(name)
+    except ValueError:
+        names = sorted(k.value for k in BoundKind)
+        raise AccountingError(f"unknown {flag} value {name!r}; choose from {names}") from None
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
@@ -131,13 +113,7 @@ def _build_params(merged: dict) -> AccountingParams:
             sigma_mul=float(merged["sigma_mul"]),
             truncate_last_batch=truncate,
         )
-        if neighboring is not Neighboring.CHANGE_ONE:
-            params = make_params(
-                n=params.n, b=params.b, eta=params.eta, epochs=params.epochs,
-                sigma=params.sigma, lam=params.lam, beta=params.beta, s_g=params.s_g,
-                neighboring=neighboring, truncate_last_batch=truncate,
-            )
-        return params
+        return dataclasses.replace(params, neighboring=neighboring)
     _require(merged, "beta", "sensitivity")
     sigma = merged.get("sigma")
     if sigma is None:
@@ -189,26 +165,24 @@ def _alpha_list(merged: dict) -> list[float]:
 def _emit(record: dict, args: argparse.Namespace) -> None:
     if getattr(args, "timestamp", False):
         record["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     merged = _merged_options(args)
     params = _build_params(merged)
     alphas = _alpha_list(merged)
-    kind = args.kind
-    if kind not in BOUND_KINDS:
-        raise AccountingError(f"unknown --kind {kind!r}; choose from {sorted(BOUND_KINDS)}")
-    evaluator = BOUND_KINDS[kind]
-    eps_values = [evaluator(params, a, args.j0) for a in alphas]
+    kind = _kind(args.kind, "--kind")
+    family = kind.at(args.j0)
+    eps_values = [family.eps(params, a) for a in alphas]
     single = len(alphas) == 1
     record: dict = {
-        "bound_kind": kind,
+        "bound_kind": kind.value,
         "alpha": alphas[0] if single else alphas,
         "eps_rdp": eps_values[0] if single else eps_values,
         "params": _params_echo(params),
     }
-    if kind == "sgm":
+    if kind is BoundKind.SGM_COMPOSITION:
         orders = [baselines.sgm_rdp_per_step_any_order(params.q, baselines.SgmParams.from_params(params).sigma_eff, a)[1] for a in alphas]
         if any(o != a for o, a in zip(orders, alphas)):
             record["sgm_order"] = orders[0] if single else orders
@@ -223,29 +197,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curve_values(
-    params: AccountingParams, alpha: float, kind: str, j0: Optional[int], epochs_max: int
-) -> list[float]:
-    if kind == "samp-wo":
-        # one pass of the recursion yields every epoch boundary
-        trace = sampling.samp_wo_log_states(with_epochs(params, epochs_max), alpha)
-        return [trace[k * params.m].log_s / (alpha - 1.0) for k in range(1, epochs_max + 1)]
-    return [
-        BOUND_KINDS[kind](with_epochs(params, k), alpha, j0)
-        for k in range(1, epochs_max + 1)
-    ]
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
     merged = _merged_options(args)
     if args.epochs_max is not None:
         merged["epochs"] = args.epochs_max
     params = _build_params(merged)
     alphas = _alpha_list(merged)
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in BOUND_KINDS:
-            raise AccountingError(f"unknown kind {kind!r} in --kinds")
+    kinds = [_kind(k.strip(), "--kinds") for k in args.kinds.split(",") if k.strip()]
     epochs_max = params.epochs
     if epochs_max < 1:
         raise AccountingError("--epochs-max must be >= 1 for curves")
@@ -254,14 +212,14 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     for kind in kinds:
         for alpha in alphas:
-            values = _curve_values(params, alpha, kind, args.j0, epochs_max)
+            values = kind.at(args.j0).curve(params, alpha)
             rows = [f"{k},{_fmt(v)}" for k, v in enumerate(values, start=1)]
             body = "k,eps\n" + "\n".join(rows) + "\n"
             if out_dir is None:
-                print(f"# kind={kind} alpha={alpha:g}")
+                print(f"# kind={kind.value} alpha={alpha:g}")
                 sys.stdout.write(body)
             else:
-                name = f"{kind}_a={alpha:g}_k={epochs_max}.csv"
+                name = f"{kind.value}_a={alpha:g}_k={epochs_max}.csv"
                 (out_dir / name).write_text(body)
                 print(f"# wrote {out_dir / name}")
     return 0
@@ -269,7 +227,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     merged = _merged_options(args)
-    kind = calibrate.BoundKind(args.kind)
+    kind = BoundKind(args.kind)
     delta = merged.get("delta")
     if delta is None:
         raise AccountingError("missing required flag(s): --delta")
@@ -283,21 +241,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if direct_path and merged.get("sigma") is None and merged.get("sigma_mul") is None:
             merged = dict(merged, sigma=1.0)  # placeholder; the bracket is searched
         params = _build_params(merged)
-        sigma = calibrate.calibrate_noise(
-            params, grid, args.target_eps, float(delta), kind,
-        )
-        achieved = calibrate.converted_eps(
-            calibrate.with_sigma(params, sigma), grid, float(delta), kind
-        )
+        sigma = calibrate.calibrate_noise(params, grid, args.target_eps, float(delta), kind)
+        solved = calibrate.with_sigma(params, sigma)
         record = {
             "solve": "sigma",
             "bound_kind": kind.value,
             "target_eps": args.target_eps,
             "delta": float(delta),
             "sigma": sigma,
-            "eps_dp_at_sigma": achieved,
+            "eps_dp_at_sigma": calibrate.converted_eps(solved, grid, float(delta), kind),
             "alpha_grid": grid,
-            "params": _params_echo(calibrate.with_sigma(params, sigma)),
+            "params": _params_echo(solved),
         }
     else:
         params = _build_params(merged)
@@ -350,6 +304,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     merged = _merged_options(args)
     suites = ("tightness", "dominance", "monte-carlo") if args.suite == "all" else (args.suite,)
     failures = 0
+
+    def emit_checked(record: dict, check: Callable[[], Any]) -> None:
+        """Emit a passing check's report, or count the failure and say why on stderr."""
+        nonlocal failures
+        try:
+            report = check()
+        except (oracle.DominanceViolated, oracle.StatisticalMismatch) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            failures += 1
+        else:
+            _emit({**record, "report": report.to_dict(), "status": "ok"}, args)
+
     for suite in suites:
         if suite == "tightness":
             params = _reference_params(merged, epochs=1)
@@ -357,57 +323,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 instance = oracle.make_instance(params, j0=0)
                 report = oracle.verify_dominance(instance, alpha, "fixed", beta=params.beta)
                 tight = abs(report.slack) <= 1e-9 * report.bound
-                status = "ok" if tight else "FAIL"
-                print(f'{{"suite": "tightness", "alpha": {alpha:g}, '
-                      f'"report": {report.to_json()}, "status": "{status}"}}')
+                _emit({"suite": "tightness", "alpha": alpha, "report": report.to_dict(),
+                       "status": "ok" if tight else "FAIL"}, args)
                 failures += 0 if tight else 1
         elif suite == "dominance":
             for epochs in (1, 2, 5, 10, 20, 40):
                 params = _reference_params(merged, epochs=epochs)
-                positions = sorted({0, params.m // 2, params.m - 1})
-                for j0 in positions:
+                for j0 in sorted({0, params.m // 2, params.m - 1}):
+                    instance = oracle.make_instance(params, j0=j0)
                     for alpha in (2.0, 10.0, 30.0):
-                        instance = oracle.make_instance(params, j0=j0)
-                        try:
-                            report = oracle.verify_dominance(
-                                instance, alpha, "fixed", beta=params.beta
-                            )
-                            status = "ok"
-                        except oracle.DominanceViolated as exc:
-                            print(f"DominanceViolated: {exc}", file=sys.stderr)
-                            failures += 1
-                            continue
-                        print(f'{{"suite": "dominance", "epochs": {epochs}, "j0": {j0}, '
-                              f'"alpha": {alpha:g}, "report": {report.to_json()}, '
-                              f'"status": "{status}"}}')
-                for alpha in (2.0, 10.0):
-                    instance = oracle.make_instance(params, j0=0)
-                    try:
-                        report = oracle.verify_dominance(
-                            instance, alpha, "shuffle", beta=params.beta
+                        emit_checked(
+                            {"suite": "dominance", "epochs": epochs, "j0": j0, "alpha": alpha},
+                            lambda: oracle.verify_dominance(instance, alpha, "fixed", beta=params.beta),
                         )
-                    except oracle.DominanceViolated as exc:
-                        print(f"DominanceViolated: {exc}", file=sys.stderr)
-                        failures += 1
-                        continue
-                    print(f'{{"suite": "dominance", "epochs": {epochs}, '
-                          f'"alpha": {alpha:g}, "report": {report.to_json()}, '
-                          f'"status": "ok"}}')
-        elif suite == "monte-carlo":
+                instance = oracle.make_instance(params, j0=0)
+                for alpha in (2.0, 10.0):
+                    emit_checked(
+                        {"suite": "dominance", "epochs": epochs, "alpha": alpha},
+                        lambda: oracle.verify_dominance(instance, alpha, "shuffle", beta=params.beta),
+                    )
+        else:
             params = _reference_params(merged, epochs=args.mc_epochs)
             instance = oracle.make_instance(params, j0=0)
-            try:
-                report = oracle.monte_carlo_check(
-                    instance, samples=args.samples, seed=args.seed, alt=True
-                )
-                print(f'{{"suite": "monte-carlo", "report": {report.to_json()}, '
-                      f'"status": "ok"}}')
-            except oracle.StatisticalMismatch as exc:
-                print(f"StatisticalMismatch: {exc}", file=sys.stderr)
-                failures += 1
-        else:
-            raise AccountingError(f"unknown --suite {args.suite!r}")
-    print(f'{{"failures": {failures}}}')
+            emit_checked({"suite": "monte-carlo"}, lambda: oracle.monte_carlo_check(
+                instance, samples=args.samples, seed=args.seed, alt=True))
+    _emit({"failures": failures}, args)
     return 1 if failures else 0
 
 
@@ -441,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = subparsers.add_parser("bound", help="evaluate one bound; print a JSON record")
     _add_param_flags(p_bound)
-    p_bound.add_argument("--kind", required=True, help=f"bound family: {', '.join(sorted(BOUND_KINDS))}")
+    p_bound.add_argument("--kind", required=True,
+                         help=f"bound family: {', '.join(sorted(k.value for k in BoundKind))}")
     p_bound.add_argument("--j0", type=int, help="batch index of the differing record (kind=fixed)")
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -455,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = subparsers.add_parser("calibrate", help="solve for sigma or the epoch budget")
     _add_param_flags(p_cal)
-    p_cal.add_argument("--kind", required=True, choices=[k.value for k in calibrate.BoundKind])
+    # kind fixed needs --j0, which calibrate does not take
+    p_cal.add_argument("--kind", required=True,
+                       choices=[k.value for k in BoundKind if k is not BoundKind.FIXED])
     p_cal.add_argument("--target-eps", dest="target_eps", type=float, required=True)
     p_cal.add_argument("--solve", choices=("sigma", "epochs"), default="sigma")
     p_cal.set_defaults(func=_cmd_calibrate)

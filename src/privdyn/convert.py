@@ -119,9 +119,9 @@ def rdp_to_dp(
     best_alpha = math.inf
     log_term = math.log(1.0 / delta)
     for pt in pts:
-        if not pt.alpha > 1:
-            raise AccountingError(f"Renyi order {pt.alpha!r} must be > 1")
-        if pt.eps < 0:
+        if not (pt.alpha > 1 and math.isfinite(pt.alpha)):
+            raise AccountingError(f"Renyi order {pt.alpha!r} must be finite and > 1")
+        if not pt.eps >= 0:  # also rejects NaN; +inf marks an order without a bound
             raise AccountingError(f"RDP eps {pt.eps!r} must be >= 0")
         converted = pt.eps + log_term / (pt.alpha - 1.0)
         if converted < best_eps or (converted == best_eps and pt.alpha < best_alpha):

@@ -19,26 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .numerics import contraction_pow, geometric_sum
-from .params import (
-    AccountingError,
-    AccountingParams,
-    BatchCountTooSmall,
-    ConvexityClass,
-    validate,
-)
+from .params import AccountingError, AccountingParams, BatchCountTooSmall
 
 __all__ = [
     "IndexOutOfRange",
     "RegularityMismatch",
     "FixedBatchBound",
-    "LsiSequence",
-    "RecursionStep",
-    "lsi_constant",
     "eps0_term",
-    "recursion_coefficients",
     "bound_strongly_convex_fixed",
     "bound_convex_fixed",
     "bound_fixed",
@@ -66,31 +55,9 @@ class FixedBatchBound:
     eps: float
 
 
-@dataclass(frozen=True, slots=True)
-class LsiSequence:
-    """Log-Sobolev constants of the parameter law, indexed by (epoch, step)."""
-
-    params: AccountingParams
-    convexity: ConvexityClass
-
-    def at(self, k: int, j: int) -> float:
-        return lsi_constant(self.params, self.convexity, k, j)
-
-
-@dataclass(frozen=True, slots=True)
-class RecursionStep:
-    """One step of the per-iteration recursion: eps <- eps*multiplier + increment."""
-
-    multiplier: float = 1.0
-    increment: float = 0.0
-
-    def apply(self, eps: float) -> float:
-        return eps * self.multiplier + self.increment
-
-
 def _check_alpha(alpha: float) -> float:
-    if not alpha > 1:
-        raise AccountingError(f"Renyi order alpha must be > 1, got {alpha!r}")
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise AccountingError(f"Renyi order alpha must be finite and > 1, got {alpha!r}")
     return float(alpha)
 
 
@@ -100,37 +67,11 @@ def _require_strongly_convex(params: AccountingParams, what: str) -> None:
 
 
 def _require_two_batches(params: AccountingParams, what: str) -> None:
-    # The h-split composition needs floor(n/b) >= 2; the samp-wo recursion
-    # and the naive baseline have no such requirement.
+    # The h-split composition and the mixing-and-diffusion slope (which
+    # divides by m - 1) need floor(n/b) >= 2; the samp-wo recursion and the
+    # naive baseline have no such requirement.
     if params.m < 2:
         raise BatchCountTooSmall(f"{what} needs floor(n/b) >= 2, got m = {params.m}")
-
-
-def lsi_constant(
-    params: AccountingParams,
-    convexity: Optional[ConvexityClass],
-    k: int,
-    j: int,
-) -> float:
-    """Log-Sobolev constant of the parameter law at epoch k, step j.
-
-    Convex: 1/(2*eta*sigma^2*t) with t = k*m + j. Strongly convex:
-    1/(2*eta*sigma^2*G(t)). At t = 0 the law is a point mass and the
-    constant is the +inf sentinel (math.inf, never a large finite float).
-    """
-    validate(params)
-    if convexity is None:
-        convexity = params.regularity.convexity
-    if k < 0 or j < 0 or j > params.m:
-        raise IndexOutOfRange(f"iteration index (k={k}, j={j}) outside the schedule")
-    t = k * params.m + j
-    if t == 0:
-        return math.inf
-    if convexity is ConvexityClass.CONVEX:
-        denom = float(t)
-    else:
-        denom = geometric_sum(params.log_r, t)
-    return 1.0 / (2.0 * params.eta * params.sigma**2 * denom)
 
 
 def eps0_term(params: AccountingParams, alpha: float, j: int) -> float:
@@ -139,7 +80,6 @@ def eps0_term(params: AccountingParams, alpha: float, j: int) -> float:
     Strongly convex: eps1 * r^(j-1) / G(j) (equivalently
     eps1 * r^(j-1) * (1-r)/(1-r^j)); convex: eps1 / j.
     """
-    validate(params)
     _check_alpha(alpha)
     if j < 1 or j > params.m:
         raise IndexOutOfRange(f"j = {j} outside [1, {params.m}]")
@@ -147,35 +87,6 @@ def eps0_term(params: AccountingParams, alpha: float, j: int) -> float:
     if not params.regularity.strongly_convex:
         return eps1 / j
     return eps1 * contraction_pow(params.log_r, j - 1) / geometric_sum(params.log_r, j)
-
-
-def recursion_coefficients(
-    params: AccountingParams,
-    alpha: float,
-    k: int,
-    j: int,
-    in_batch: bool,
-) -> RecursionStep:
-    """Per-iteration recursion coefficients at epoch k, step j.
-
-    The differing-batch step adds eps1; every other step multiplies by
-    (1 + c*2*eta*sigma^2/L^2)^-1 where c is the LSI constant entering the
-    step and L = 1 (convex) or 1 - eta*lambda (strongly convex). The t = 0
-    multiplier is 0 (infinite LSI constant), which is never divided by: the
-    closed form below evaluates it as G(t)*r / G(t+1).
-    """
-    validate(params)
-    _check_alpha(alpha)
-    if in_batch:
-        return RecursionStep(increment=params.eps1(alpha))
-    t = k * params.m + j
-    if t < 0:
-        raise IndexOutOfRange(f"iteration index t = {t} negative")
-    if not params.regularity.strongly_convex:
-        return RecursionStep(multiplier=t / (t + 1.0))
-    g_t = geometric_sum(params.log_r, t)
-    g_next = geometric_sum(params.log_r, t + 1)
-    return RecursionStep(multiplier=params.r * g_t / g_next)
 
 
 def _first_term(params: AccountingParams, alpha: float) -> float:
@@ -202,7 +113,6 @@ def bound_strongly_convex_fixed(
     eps = eps0(h) * (1 - r^((K-1)(m-h)))/(1 - r^(m-h)) + eps0(m - j0),
     h = floor(n/(2b)); the first term is 0 at K <= 1.
     """
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "bound_strongly_convex_fixed")
     _require_two_batches(params, "bound_strongly_convex_fixed")
@@ -219,7 +129,6 @@ def bound_convex_fixed(params: AccountingParams, alpha: float, j0: int) -> Fixed
 
     eps = eps1 * (K-1)/m + eps1/(m - j0).
     """
-    validate(params)
     _check_alpha(alpha)
     if params.regularity.strongly_convex:
         raise RegularityMismatch("bound_convex_fixed needs a convex loss (lambda = 0)")
@@ -241,7 +150,6 @@ def bound_fixed(params: AccountingParams, alpha: float, j0: int) -> FixedBatchBo
 
 def bound_naive_baseline(params: AccountingParams, alpha: float) -> float:
     """Post-processing-free baseline: alpha*S_g^2/(lambda*sigma^2*b^2) * (1 - e^(-lambda*eta*K/2))."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "bound_naive_baseline")
     scale = alpha * params.s_g**2 / (params.lam * params.sigma**2 * params.b**2)
@@ -250,7 +158,6 @@ def bound_naive_baseline(params: AccountingParams, alpha: float) -> float:
 
 def fixed_bound_limit(params: AccountingParams, alpha: float, j0: int) -> float:
     """K -> infinity limit of the strongly convex fixed bound."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "fixed_bound_limit")
     _require_two_batches(params, "fixed_bound_limit")
@@ -262,7 +169,6 @@ def fixed_bound_limit(params: AccountingParams, alpha: float, j0: int) -> float:
 
 def naive_baseline_limit(params: AccountingParams, alpha: float) -> float:
     """K -> infinity limit of the naive baseline."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "naive_baseline_limit")
     return alpha * params.s_g**2 / (params.lam * params.sigma**2 * params.b**2)

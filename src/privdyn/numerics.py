@@ -9,14 +9,13 @@ taken as exp(x*ln r) so they underflow cleanly to 0.0 instead of looping.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "contraction_log",
     "contraction_pow",
     "geometric_sum",
     "logsumexp",
-    "log_mean_exp",
 ]
 
 
@@ -58,8 +57,3 @@ def logsumexp(values: Iterable[float]) -> float:
     for v in vals:
         acc += math.exp(v - top)
     return top + math.log(acc)
-
-
-def log_mean_exp(values: Sequence[float]) -> float:
-    """log of the arithmetic mean of exp(v)."""
-    return logsumexp(values) - math.log(len(values))

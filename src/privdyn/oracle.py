@@ -15,6 +15,7 @@ differing record is in the first batch.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -23,12 +24,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .dynamics import _check_alpha, bound_strongly_convex_fixed
-from .params import (
-    AccountingError,
-    AccountingParams,
-    make_params,
-    validate,
-)
+from .params import AccountingError, AccountingParams, make_params
 from .sampling import bound_shuffle, mixture_bound
 
 __all__ = [
@@ -170,7 +166,6 @@ def make_instance(
     batch j0 with gap delta_x (default S_g/lam, the sensitivity maximum);
     the schedule is the contiguous partition.
     """
-    validate(params)
     if j0 < 0 or j0 >= params.m:
         raise AccountingError(f"j0 = {j0} outside [0, {params.m - 1}]")
     if delta_x is None:
@@ -253,15 +248,17 @@ class DominanceReport:
     def slack(self) -> float:
         return self.bound - self.exact
 
-    def to_json(self, seed: Optional[int] = None) -> str:
-        payload = {
+    def to_dict(self, seed: Optional[int] = None) -> dict:
+        return {
             "exact": self.exact,
             "bound": self.bound,
             "slack": self.slack,
             "params": {"kind": self.kind, "alpha": self.alpha},
             "seed": seed,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self, seed: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(seed), sort_keys=True)
 
 
 def verify_dominance(
@@ -315,18 +312,11 @@ class MonteCarloReport:
     mean_z: float
     variance_z: float
 
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
     def to_json(self) -> str:
-        payload = {
-            "samples": self.samples,
-            "seed": self.seed,
-            "empirical_mean": self.empirical_mean,
-            "empirical_variance": self.empirical_variance,
-            "expected_mean": self.expected_mean,
-            "expected_variance": self.expected_variance,
-            "mean_z": self.mean_z,
-            "variance_z": self.variance_z,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def monte_carlo_check(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .numerics import contraction_log, geometric_sum
+from .numerics import contraction_log
 
 __all__ = [
     "AccountingError",
@@ -29,7 +29,6 @@ __all__ = [
     "LossRegularity",
     "AccountingParams",
     "RdpPoint",
-    "RdpCurve",
     "make_params",
     "validate",
     "with_epochs",
@@ -108,7 +107,9 @@ class AccountingParams:
     Fields: dataset size ``n``, mini-batch size ``b``, stepsize ``eta``,
     epoch count ``epochs``, noise scale ``sigma`` (per-step noise variance
     2*eta*sigma^2), loss regularity, neighboring notion, and the explicit
-    opt-in for ignoring a non-dividing tail batch.
+    opt-in for ignoring a non-dividing tail batch. Every construction,
+    ``dataclasses.replace`` included, runs :func:`validate`, so a params
+    object that exists is a valid one.
     """
 
     n: int
@@ -119,6 +120,9 @@ class AccountingParams:
     regularity: LossRegularity
     neighboring: Neighboring = Neighboring.CHANGE_ONE
     truncate_last_batch: bool = False
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @property
     def lam(self) -> float:
@@ -172,19 +176,6 @@ class RdpPoint:
     eps: float
 
 
-@dataclass(frozen=True, slots=True)
-class RdpCurve:
-    """Ordered (epoch, eps) samples of one bound family at fixed alpha."""
-
-    alpha: float
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        epochs = [k for k, _ in self.points]
-        if any(b <= a for a, b in zip(epochs, epochs[1:])):
-            raise AccountingError("curve epochs must be strictly increasing")
-
-
 def _require_positive(**fields: Union[int, float]) -> None:
     for name, value in fields.items():
         if not value > 0:
@@ -194,10 +185,18 @@ def _require_positive(**fields: Union[int, float]) -> None:
 def validate(params: AccountingParams) -> AccountingParams:
     """Check every invariant and return the (unchanged, frozen) params.
 
-    Idempotent. Raises NonPositive, BatchCountTooSmall, NonDividingBatch or
-    StepsizeTooLarge; derived quantities (m, r, eps1_coeff, q) are exposed
-    as properties of the returned object.
+    Runs once per construction, from AccountingParams.__post_init__; the
+    bounds never re-check. Idempotent. Raises NonPositive,
+    BatchCountTooSmall, NonDividingBatch, StepsizeTooLarge, or
+    AccountingError for a non-finite field; derived quantities (m, r,
+    eps1_coeff, q) are exposed as properties of the returned object.
     """
+    for name, value in (
+        ("eta", params.eta), ("sigma", params.sigma), ("lambda", params.lam),
+        ("beta", params.beta), ("sensitivity", params.s_g),
+    ):
+        if not math.isfinite(value):
+            raise AccountingError(f"{name} must be finite, got {value!r}")
     _require_positive(
         n=params.n, b=params.b, eta=params.eta, sigma=params.sigma,
         beta=params.beta, sensitivity=params.s_g,
@@ -243,8 +242,8 @@ def make_params(
     neighboring: Neighboring = Neighboring.CHANGE_ONE,
     truncate_last_batch: bool = False,
 ) -> AccountingParams:
-    """Build and validate an AccountingParams from scalars."""
-    params = AccountingParams(
+    """Build (and so validate) an AccountingParams from scalars."""
+    return AccountingParams(
         n=int(n),
         b=int(b),
         eta=float(eta),
@@ -254,15 +253,14 @@ def make_params(
         neighboring=neighboring,
         truncate_last_batch=truncate_last_batch,
     )
-    return validate(params)
 
 
 def with_epochs(params: AccountingParams, epochs: int) -> AccountingParams:
-    return validate(dataclasses.replace(params, epochs=int(epochs)))
+    return dataclasses.replace(params, epochs=int(epochs))
 
 
 def with_sigma(params: AccountingParams, sigma: float) -> AccountingParams:
-    return validate(dataclasses.replace(params, sigma=float(sigma)))
+    return dataclasses.replace(params, sigma=float(sigma))
 
 
 def sigma_from_multiplier(eta: float, b: int, s_g: float, sigma_mul: float) -> float:
@@ -280,11 +278,6 @@ def multiplier_from_sigma(eta: float, b: int, s_g: float, sigma: float) -> float
     """Inverse of sigma_from_multiplier."""
     _require_positive(eta=eta, b=b, sensitivity=s_g, sigma=sigma)
     return sigma * 2.0 * b / (math.sqrt(eta / 2.0) * s_g)
-
-
-def geometric_sum_params(params: AccountingParams, terms: float) -> float:
-    """sum_{s=0}^{terms-1} r**s for this params' contraction ratio (closed form)."""
-    return geometric_sum(params.log_r, terms)
 
 
 CONFIG_KEYS = frozenset(

@@ -24,7 +24,7 @@ from .dynamics import (
     eps0_term,
 )
 from .numerics import logsumexp
-from .params import AccountingError, AccountingParams, validate
+from .params import AccountingError, AccountingParams
 
 __all__ = [
     "WeightsNotNormalized",
@@ -35,7 +35,6 @@ __all__ = [
     "samp_wo_log_states",
     "samp_wo_limit",
     "mixture_bound",
-    "check_joint_convexity",
 ]
 
 
@@ -76,7 +75,6 @@ def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
     factoring out the largest exponent (a-1)*eps0(1) so no overflow can occur
     for any alpha.
     """
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "shuffle_avg_term")
     _require_two_batches(params, "shuffle_avg_term")
@@ -89,7 +87,6 @@ def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
 
 def bound_shuffle(params: AccountingParams, alpha: float) -> ShuffleBound:
     """Shuffle-and-partition bound: fixed-batch head plus a log-avg-exp tail."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "bound_shuffle")
     _require_two_batches(params, "bound_shuffle")
@@ -119,7 +116,6 @@ def _samp_wo_step(params: AccountingParams, alpha: float, log_s: float) -> float
 
 def bound_samp_wo_replacement(params: AccountingParams, alpha: float) -> float:
     """Sampling-without-replacement bound: log(S_K)/(alpha-1) after K*m steps."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "bound_samp_wo_replacement")
     log_s = 0.0
@@ -136,7 +132,6 @@ def bound_samp_wo_replacement(params: AccountingParams, alpha: float) -> float:
 
 def samp_wo_log_states(params: AccountingParams, alpha: float) -> list[SampWoState]:
     """Per-step trace of the log-domain recursion, including the start state."""
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "samp_wo_log_states")
     states = [SampWoState(step=0, log_s=0.0)]
@@ -155,7 +150,6 @@ def samp_wo_limit(params: AccountingParams, alpha: float) -> float:
     q*e^((a-1)*eps1) < 1 (the state increases toward it from S = 1);
     otherwise the surrogate diverges and the limit is +inf.
     """
-    validate(params)
     _check_alpha(alpha)
     _require_strongly_convex(params, "samp_wo_limit")
     q = params.q
@@ -192,20 +186,3 @@ def mixture_bound(mixtures: Sequence[tuple[float, float]], alpha: float) -> floa
         for w, e in mixtures
     ]
     return logsumexp(terms) / scale
-
-
-def check_joint_convexity(mixtures: Sequence[tuple[float, float]], alpha: float) -> bool:
-    """Property-test helper for the mixture inequality.
-
-    Asserts exp((a-1)*mixture_bound) <= sum_i w_i*exp((a-1)*eps_i) (up to
-    float rounding) and returns True. Not a user-facing accounting API.
-    """
-    combined = mixture_bound(mixtures, alpha)
-    scale = alpha - 1.0
-    lhs = scale * combined
-    rhs = logsumexp(
-        [(math.log(w) if w > 0 else -math.inf) + scale * e for w, e in mixtures]
-    )
-    if lhs > rhs + 1e-9 * max(1.0, abs(rhs)):
-        raise AssertionError(f"mixture inequality violated: {lhs} > {rhs}")
-    return True

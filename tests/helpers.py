@@ -1,0 +1,144 @@
+"""Reference helpers that only the test suite uses.
+
+They cross-check the library's closed forms from another angle (the
+per-iteration recursion, log-Sobolev constants, the mixture inequality, the
+SGM composition curve) and are not part of the accounting API.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from privdyn.baselines import SgmParams, sgm_rdp_per_step_any_order
+from privdyn.dynamics import IndexOutOfRange, _check_alpha
+from privdyn.numerics import geometric_sum, logsumexp
+from privdyn.params import AccountingError, AccountingParams, ConvexityClass
+from privdyn.sampling import mixture_bound
+
+
+def geometric_sum_params(params: AccountingParams, terms: float) -> float:
+    """sum_{s=0}^{terms-1} r**s for this params' contraction ratio (closed form)."""
+    return geometric_sum(params.log_r, terms)
+
+
+def lsi_constant(
+    params: AccountingParams,
+    convexity: Optional[ConvexityClass],
+    k: int,
+    j: int,
+) -> float:
+    """Log-Sobolev constant of the parameter law at epoch k, step j.
+
+    Convex: 1/(2*eta*sigma^2*t) with t = k*m + j. Strongly convex:
+    1/(2*eta*sigma^2*G(t)). At t = 0 the law is a point mass and the
+    constant is the +inf sentinel (math.inf, never a large finite float).
+    """
+    if convexity is None:
+        convexity = params.regularity.convexity
+    if k < 0 or j < 0 or j > params.m:
+        raise IndexOutOfRange(f"iteration index (k={k}, j={j}) outside the schedule")
+    t = k * params.m + j
+    if t == 0:
+        return math.inf
+    if convexity is ConvexityClass.CONVEX:
+        denom = float(t)
+    else:
+        denom = geometric_sum(params.log_r, t)
+    return 1.0 / (2.0 * params.eta * params.sigma**2 * denom)
+
+
+@dataclass(frozen=True, slots=True)
+class LsiSequence:
+    """Log-Sobolev constants of the parameter law, indexed by (epoch, step)."""
+
+    params: AccountingParams
+    convexity: ConvexityClass
+
+    def at(self, k: int, j: int) -> float:
+        return lsi_constant(self.params, self.convexity, k, j)
+
+
+@dataclass(frozen=True, slots=True)
+class RecursionStep:
+    """One step of the per-iteration recursion: eps <- eps*multiplier + increment."""
+
+    multiplier: float = 1.0
+    increment: float = 0.0
+
+    def apply(self, eps: float) -> float:
+        return eps * self.multiplier + self.increment
+
+
+def recursion_coefficients(
+    params: AccountingParams,
+    alpha: float,
+    k: int,
+    j: int,
+    in_batch: bool,
+) -> RecursionStep:
+    """Per-iteration recursion coefficients at epoch k, step j.
+
+    The differing-batch step adds eps1; every other step multiplies by
+    (1 + c*2*eta*sigma^2/L^2)^-1 where c is the LSI constant entering the
+    step and L = 1 (convex) or 1 - eta*lambda (strongly convex). The t = 0
+    multiplier is 0 (infinite LSI constant), which is never divided by: the
+    closed form below evaluates it as G(t)*r / G(t+1).
+    """
+    _check_alpha(alpha)
+    if in_batch:
+        return RecursionStep(increment=params.eps1(alpha))
+    t = k * params.m + j
+    if t < 0:
+        raise IndexOutOfRange(f"iteration index t = {t} negative")
+    if not params.regularity.strongly_convex:
+        return RecursionStep(multiplier=t / (t + 1.0))
+    g_t = geometric_sum(params.log_r, t)
+    g_next = geometric_sum(params.log_r, t + 1)
+    return RecursionStep(multiplier=params.r * g_t / g_next)
+
+
+def check_joint_convexity(mixtures: Sequence[tuple[float, float]], alpha: float) -> bool:
+    """Property-test helper for the mixture inequality.
+
+    Asserts exp((a-1)*mixture_bound) <= sum_i w_i*exp((a-1)*eps_i) (up to
+    float rounding) and returns True.
+    """
+    combined = mixture_bound(mixtures, alpha)
+    scale = alpha - 1.0
+    lhs = scale * combined
+    rhs = logsumexp(
+        [(math.log(w) if w > 0 else -math.inf) + scale * e for w, e in mixtures]
+    )
+    if lhs > rhs + 1e-9 * max(1.0, abs(rhs)):
+        raise AssertionError(f"mixture inequality violated: {lhs} > {rhs}")
+    return True
+
+
+@dataclass(frozen=True, slots=True)
+class RdpCurve:
+    """Ordered (epoch, eps) samples of one bound family at fixed alpha."""
+
+    alpha: float
+    points: tuple[tuple[int, float], ...]
+
+    def __post_init__(self) -> None:
+        epochs = [k for k, _ in self.points]
+        if any(b <= a for a, b in zip(epochs, epochs[1:])):
+            raise AccountingError("curve epochs must be strictly increasing")
+
+
+def sgm_composition(params: AccountingParams, alpha: float) -> RdpCurve:
+    """SGM composition curve: eps(k) = k*m*per_step for k = 1..params.epochs."""
+    sgm = SgmParams.from_params(params)
+    per_step, _ = sgm_rdp_per_step_any_order(sgm.q, sgm.sigma_eff, alpha)
+    per_epoch = params.m * per_step
+    points = tuple((k, k * per_epoch) for k in range(1, params.epochs + 1))
+    return RdpCurve(alpha=float(alpha), points=points)
+
+
+def sgm_epoch_approximation(params: AccountingParams, alpha: float) -> float:
+    """Leading-term per-epoch approximation q * eps1 (documentation plots only)."""
+    _check_alpha(alpha)
+    return params.q * params.eps1(alpha)

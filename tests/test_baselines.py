@@ -8,14 +8,14 @@ from privdyn import (
     SgmParams,
     mixing_diffusion_first_batch,
     mixing_diffusion_last_batch,
-    sgm_composition,
     sgm_eps,
-    sgm_epoch_approximation,
     sgm_rdp_per_step,
     with_epochs,
 )
 from privdyn.baselines import sgm_rdp_per_step_any_order
 from privdyn.dynamics import bound_strongly_convex_fixed
+
+from helpers import sgm_composition, sgm_epoch_approximation
 
 
 def sgm_moment_sum_highprec(q, sigma_eff, alpha, dps=60):

@@ -4,6 +4,7 @@ import pytest
 
 from privdyn import (
     DEFAULT_ALPHA_GRID,
+    AccountingError,
     RdpPoint,
     rdp_to_dp,
     MAXED_OUT,
@@ -20,7 +21,8 @@ from privdyn import (
 from privdyn.calibrate import BracketTooNarrow
 
 GRID = [2.0, 4.0, 8.0, 16.0, 32.0]
-ALL_KINDS = list(BoundKind)
+# every family that evaluates from (params, alpha); kind fixed also needs j0
+ALL_KINDS = [k for k in BoundKind if k is not BoundKind.FIXED]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -105,14 +107,39 @@ def test_evaluate_bound_matches_direct_calls(ref_params):
         bound_samp_wo_replacement,
         bound_shuffle,
         bound_strongly_convex_fixed,
+        mixing_diffusion_first_batch,
+        mixing_diffusion_last_batch,
         sgm_eps,
     )
 
-    assert evaluate_bound(ref_params, 10, BoundKind.SHUFFLE) == bound_shuffle(ref_params, 10).eps
-    assert evaluate_bound(ref_params, 10, BoundKind.SAMP_WO) == bound_samp_wo_replacement(ref_params, 10)
-    assert evaluate_bound(ref_params, 10, BoundKind.FIXED_LAST_BATCH) == bound_strongly_convex_fixed(ref_params, 10, 24).eps
-    assert evaluate_bound(ref_params, 10, BoundKind.SGM_COMPOSITION) == sgm_eps(ref_params, 10)
-    assert evaluate_bound(ref_params, 10, BoundKind.NAIVE) == bound_naive_baseline(ref_params, 10)
+    j0 = 12  # the batch index kind fixed takes from its caller
+    direct = {
+        BoundKind.SHUFFLE: lambda p, a: bound_shuffle(p, a).eps,
+        BoundKind.SAMP_WO: bound_samp_wo_replacement,
+        BoundKind.FIXED_LAST_BATCH: lambda p, a: bound_strongly_convex_fixed(p, a, 24).eps,
+        BoundKind.IMPROVED_LAST: lambda p, a: bound_strongly_convex_fixed(p, a, 24).eps,
+        BoundKind.IMPROVED_FIRST: lambda p, a: bound_strongly_convex_fixed(p, a, 0).eps,
+        BoundKind.FIXED: lambda p, a: bound_strongly_convex_fixed(p, a, j0).eps,
+        BoundKind.SGM_COMPOSITION: sgm_eps,
+        BoundKind.NAIVE: bound_naive_baseline,
+        BoundKind.MIXING_DIFFUSION_FIRST: mixing_diffusion_first_batch,
+        BoundKind.MIXING_DIFFUSION_LAST: mixing_diffusion_last_batch,
+    }
+    assert set(direct) == set(BoundKind)
+    short = with_epochs(ref_params, 6)
+    for kind, bound in direct.items():
+        family = kind.at(j0 if kind is BoundKind.FIXED else None)
+        for alpha in (1.5, 10, 64.0):
+            assert family.eps(ref_params, alpha) == bound(ref_params, alpha)
+            if kind is not BoundKind.FIXED:
+                assert evaluate_bound(ref_params, alpha, kind) == bound(ref_params, alpha)
+        # the curve (one recursion pass for samp-wo) matches the per-epoch calls
+        assert family.curve(short, 10.0) == [
+            bound(with_epochs(short, k), 10.0) for k in range(1, 7)
+        ]
+    assert BoundKind("improved-last").family is BoundKind.FIXED_LAST_BATCH.family
+    with pytest.raises(AccountingError, match="j0"):
+        evaluate_bound(ref_params, 10, BoundKind.FIXED)
 
 
 def test_bisection_budget(ref_params):
@@ -139,3 +166,12 @@ def test_max_epochs_finite_for_samp_wo(ref_params):
     assert isinstance(k, int) and k >= 1
     assert converted_eps(with_epochs(ref_params, k), GRID, 1e-5, BoundKind.SAMP_WO) <= target
     assert converted_eps(with_epochs(ref_params, k + 1), GRID, 1e-5, BoundKind.SAMP_WO) > target
+
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan, 0.0])
+def test_solvers_reject_non_finite_or_zero_targets(ref_params, target):
+    with pytest.raises(AccountingError):
+        calibrate_noise(ref_params, GRID, target, 1e-5, BoundKind.NAIVE)
+    with pytest.raises(AccountingError):
+        max_epochs(ref_params, GRID, target, 1e-5, BoundKind.NAIVE)

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from privdyn import bound_shuffle, bound_strongly_convex_fixed, rdp_to_dp, RdpPoint
+from privdyn import BoundKind, bound_shuffle, bound_strongly_convex_fixed, rdp_to_dp, RdpPoint
 from privdyn.cli import main
 
 REF_FLAGS = [
@@ -61,13 +62,47 @@ def test_missing_flag_exits_2_and_names_it(capsys):
     assert "--n" in err
 
 
-def test_validation_error_exits_2_with_error_name(capsys):
-    code, _, err = run(
-        capsys, "bound", "--kind", "shuffle", *REF_FLAGS[:-2], "--sigma", "2",
-        "--eta", "0.5", "--alpha", "10", "--epochs", "4",
-    )
+# case -> (error name printed on stderr, argv)
+BAD_INPUTS = {
+    "stepsize-too-large": ("StepsizeTooLarge", (
+        "bound", "--kind", "shuffle", *REF_FLAGS[:-2], "--sigma", "2",
+        "--eta", "0.5", "--alpha", "10", "--epochs", "4")),
+    "lambda-nan": ("AccountingError", (
+        "bound", "--kind", "fixed-last", *REF_FLAGS, "--alpha", "10", "--epochs", "4",
+        "--lambda", "nan")),
+    "sigma-inf": ("AccountingError", (
+        "bound", "--kind", "shuffle", *REF_FLAGS, "--sigma", "inf", "--alpha", "10",
+        "--epochs", "4")),
+    "sensitivity-inf": ("AccountingError", (
+        "bound", "--kind", "shuffle", *REF_FLAGS, "--sensitivity", "inf", "--alpha", "10",
+        "--epochs", "4")),
+    "alpha-inf": ("AccountingError", (
+        "bound", "--kind", "shuffle", *REF_FLAGS, "--alpha", "inf", "--epochs", "4")),
+    "convert-eps-nan": ("AccountingError", (
+        "convert", "--alpha", "10", "--eps", "nan", "--delta", "1e-5")),
+    # +inf is a valid RDP eps ("no bound at this order") but not a printable result
+    "convert-eps-inf": ("InputError", (
+        "convert", "--alpha", "10", "--eps", "inf", "--delta", "1e-5")),
+    "target-inf": ("AccountingError", (
+        "calibrate", "--kind", "naive", *REF_FLAGS, "--epochs", "4", "--target-eps", "inf",
+        "--delta", "1e-5", "--alpha", "2,8")),
+    "mixing-first-m1": ("BatchCountTooSmall", (
+        "bound", "--kind", "mixing-diffusion-first", *REF_FLAGS, "--n", "2", "--alpha", "10",
+        "--epochs", "4")),
+    "mixing-last-m1": ("BatchCountTooSmall", (
+        "bound", "--kind", "mixing-diffusion-last", *REF_FLAGS, "--n", "2", "--alpha", "10",
+        "--epochs", "4")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_validation_error_exits_2_with_error_name(capsys, case):
+    name, argv = BAD_INPUTS[case]
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "StepsizeTooLarge" in err
+    assert name in err
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_curve_csv_format_and_determinism(capsys):
@@ -281,3 +316,58 @@ def test_curve_golden_rows(capsys):
         "2,0.1599124388899662",
         "3,0.16577461000102583",
     ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+README_FLAGS = [
+    "--n", "50", "--b", "2", "--eta", "0.02", "--lambda", "1", "--beta", "4",
+    "--sensitivity", "4",
+]
+# The README's CLI examples; tests/golden holds their stdout from before the
+# bound-family registry replaced the per-command dispatch tables.
+README_EXAMPLES = {
+    "bound": ("bound", "--kind", "shuffle", *README_FLAGS, "--sigma", "2",
+              "--alpha", "10", "--epochs", "40"),
+    "calibrate_sigma": ("calibrate", "--kind", "shuffle", "--target-eps", "3",
+                        "--delta", "1e-5", *README_FLAGS, "--epochs", "40"),
+    "calibrate_epochs": ("calibrate", "--kind", "shuffle", "--solve", "epochs",
+                         "--target-eps", "3", "--delta", "1e-5", *README_FLAGS,
+                         "--sigma", "2", "--epochs", "1"),
+    "convert": ("convert", "--alpha", "10", "--eps", "0.05", "--delta", "1e-5"),
+    "convert_translate": ("convert", "--alpha", "10", "--eps", "3", "--delta", "1",
+                          "--from", "remove_one", "--to", "change_one"),
+    "curve": ("curve", "--kinds",
+              "improved-first,improved-last,naive,mixing-diffusion-first,mixing-diffusion-last",
+              "--alpha", "10,20,30", "--epochs-max", "25", *README_FLAGS, "--sigma", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_examples_golden_stdout(capsys, name):
+    code, out, _ = run(capsys, *README_EXAMPLES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("kind", [k.value for k in BoundKind])
+def test_bound_curve_and_calibrate_accept_the_same_kinds(capsys, kind):
+    j0 = ["--j0", "12"] if kind == "fixed" else []
+    code, out, _ = run(capsys, "bound", "--kind", kind, *REF_FLAGS, "--alpha", "10",
+                       "--epochs", "3", *j0)
+    assert code == 0
+    assert json.loads(out)["bound_kind"] == kind
+    code, out, _ = run(capsys, "curve", "--kinds", kind, *REF_FLAGS, "--alpha", "10",
+                       "--epochs-max", "3", *j0)
+    assert code == 0
+    assert out.startswith(f"# kind={kind} alpha=10\nk,eps\n")
+    calibrate_argv = ["calibrate", "--kind", kind, *REF_FLAGS, "--epochs", "3",
+                      "--target-eps", "3", "--delta", "1e-5", "--alpha", "2,8"]
+    if kind == "fixed":
+        # calibrate has no --j0 flag, so the one j0-dependent family is refused
+        with pytest.raises(SystemExit) as exc:
+            main(calibrate_argv)
+        assert exc.value.code == 2
+        return
+    code, out, _ = run(capsys, *calibrate_argv)
+    assert code == 0
+    assert json.loads(out)["bound_kind"] == kind

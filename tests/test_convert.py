@@ -5,6 +5,7 @@ import pytest
 
 from privdyn import (
     DEFAULT_ALPHA_GRID,
+    AccountingError,
     DpGuarantee,
     EmptyInput,
     InvalidDelta,
@@ -55,6 +56,15 @@ def test_rdp_to_dp_errors():
         rdp_to_dp([RdpPoint(alpha=2, eps=0.1)], delta=0.0)
     with pytest.raises(InvalidDelta):
         rdp_to_dp([RdpPoint(alpha=2, eps=0.1)], delta=1.5)
+    with pytest.raises(AccountingError):
+        rdp_to_dp([RdpPoint(alpha=10, eps=math.nan)], delta=1e-5)
+    with pytest.raises(AccountingError):
+        rdp_to_dp([RdpPoint(alpha=math.inf, eps=0.1)], delta=1e-5)
+
+
+def test_rdp_to_dp_skips_orders_without_a_bound():
+    g = rdp_to_dp([RdpPoint(2, math.inf), RdpPoint(10, 0.05)], delta=1e-5)
+    assert g.alpha_star == 10
 
 
 def test_translate_neighboring_doubles_once():

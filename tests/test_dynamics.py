@@ -3,19 +3,19 @@ import math
 import pytest
 
 from privdyn import (
+    AccountingError,
     ConvexityClass,
     IndexOutOfRange,
-    LsiSequence,
     bound_convex_fixed,
     bound_naive_baseline,
     bound_strongly_convex_fixed,
     eps0_term,
-    lsi_constant,
     make_params,
-    recursion_coefficients,
     with_epochs,
 )
 from privdyn.dynamics import RegularityMismatch, fixed_bound_limit, naive_baseline_limit
+
+from helpers import LsiSequence, lsi_constant, recursion_coefficients
 
 
 def test_lsi_constant_values(ref_params, ref_params_convex):
@@ -48,6 +48,8 @@ def test_eps0_values(ref_params):
         eps0_term(ref_params, 10, 0)
     with pytest.raises(IndexOutOfRange):
         eps0_term(ref_params, 10, 26)
+    with pytest.raises(AccountingError, match="finite"):
+        eps0_term(ref_params, math.inf, 1)
 
 
 def test_eps0_convex_is_eps1_over_j(ref_params_convex):

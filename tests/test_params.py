@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,8 +17,10 @@ from privdyn import (
     multiplier_from_sigma,
     sigma_from_multiplier,
     validate,
+    with_epochs,
+    with_sigma,
 )
-from privdyn.params import geometric_sum_params
+from helpers import geometric_sum_params
 
 
 def test_ref_params_derived_fields(ref_params):
@@ -42,7 +45,12 @@ def test_stepsize_too_large():
 
 
 def test_batch_count_too_small():
-    from privdyn import bound_shuffle, bound_strongly_convex_fixed
+    from privdyn import (
+        bound_shuffle,
+        bound_strongly_convex_fixed,
+        mixing_diffusion_first_batch,
+        mixing_diffusion_last_batch,
+    )
 
     # floor(50/30) = 1: the strongly convex dynamics bounds refuse to run
     p = make_params(
@@ -54,6 +62,11 @@ def test_batch_count_too_small():
         bound_strongly_convex_fixed(p, 10, 0)
     with pytest.raises(BatchCountTooSmall):
         bound_shuffle(p, 10)
+    # the mixing-and-diffusion slope divides by m - 1
+    with pytest.raises(BatchCountTooSmall):
+        mixing_diffusion_first_batch(p, 10)
+    with pytest.raises(BatchCountTooSmall):
+        mixing_diffusion_last_batch(p, 10)
     with pytest.raises(BatchCountTooSmall):
         make_params(n=5, b=30, eta=0.02, epochs=1, sigma=2, lam=1, beta=4, s_g=4)
     # convex class tolerates a single batch per epoch
@@ -162,3 +175,22 @@ def test_load_config_rejects_unknown_key(tmp_path):
     cfg.write_text("momentum = 0.9\n")
     with pytest.raises(AccountingError):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("field", ["eta", "sigma", "lam", "beta", "s_g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_fields_rejected_at_construction(field, value):
+    fields = dict(n=50, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
+    fields[field] = value
+    with pytest.raises(AccountingError, match="finite"):
+        make_params(**fields)
+
+
+def test_every_construction_validates(ref_params):
+    # dataclasses.replace and the with_* helpers rebuild through __post_init__
+    with pytest.raises(StepsizeTooLarge):
+        dataclasses.replace(ref_params, eta=0.5)
+    with pytest.raises(AccountingError):
+        with_sigma(ref_params, math.inf)
+    with pytest.raises(NonPositive):
+        with_epochs(ref_params, -1)

@@ -8,7 +8,6 @@ from privdyn import (
     bound_samp_wo_replacement,
     bound_shuffle,
     bound_strongly_convex_fixed,
-    check_joint_convexity,
     eps0_term,
     make_params,
     mixture_bound,
@@ -16,6 +15,8 @@ from privdyn import (
     samp_wo_log_states,
     with_epochs,
 )
+
+from helpers import check_joint_convexity
 
 
 def linear_domain_samp_wo(params, alpha, steps):
