@@ -31,14 +31,12 @@ from .dynamics import (
     eps0_term,
 )
 from .sampling import (
-    SampWoState,
     ShuffleBound,
     WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
     mixture_bound,
     samp_wo_limit,
-    samp_wo_log_states,
 )
 from .baselines import (
     NonIntegerOrder,

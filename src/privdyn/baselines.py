@@ -18,6 +18,7 @@ from .params import AccountingError, AccountingParams
 __all__ = [
     "NonIntegerOrder",
     "SgmParams",
+    "sgm_order",
     "sgm_rdp_per_step",
     "sgm_rdp_per_step_any_order",
     "sgm_eps",
@@ -53,14 +54,16 @@ def sgm_rdp_per_step(q: float, sigma_eff: float, alpha: int) -> float:
     """Integer-order RDP of one subsampled Gaussian step.
 
     (1/(a-1)) * ln sum_{k=0}^{a} C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2)),
-    summed in log-domain (log-gamma binomials), so it cannot overflow for
-    orders up to ~1e4.
+    summed by the mixture kernel over log-gamma binomial weights, so it
+    cannot overflow. Orders above 10 000 are refused.
     """
     if not (isinstance(alpha, int) or float(alpha).is_integer()):
         raise NonIntegerOrder(f"alpha = {alpha!r} is not an integer order")
     a = int(alpha)
     if a < 2:
         raise NonIntegerOrder(f"alpha = {a} must be >= 2")
+    if a > 10_000:  # the moment sum has a + 1 terms
+        raise AccountingError(f"sgm order {float(a):g} exceeds the largest supported order 10000")
     if not 0.0 < q <= 1.0:
         raise AccountingError(f"sampling ratio q = {q!r} outside (0, 1]")
     if not sigma_eff > 0:
@@ -70,27 +73,27 @@ def sgm_rdp_per_step(q: float, sigma_eff: float, alpha: int) -> float:
     log_q = math.log(q)
     log_1mq = math.log1p(-q)
     lg = math.lgamma
-    terms = [
-        # ln C(a, k) via log-gamma keeps orders up to ~1e4 in range
-        lg(a + 1) - lg(k + 1) - lg(a - k + 1)
-        + (a - k) * log_1mq
-        + k * log_q
-        + k * (k - 1) / (2.0 * sigma_eff**2)
+    log_a_fact, two_var = lg(a + 1), 2.0 * sigma_eff**2
+    log_weights = [
+        log_a_fact - lg(k + 1) - lg(a - k + 1) + (a - k) * log_1mq + k * log_q
         for k in range(a + 1)
     ]
-    # the moment sum is >= 1 analytically; clamp away logsumexp rounding
-    return max(0.0, logsumexp(terms) / (a - 1))
+    values = [k * (k - 1) / two_var for k in range(a + 1)]
+    return logsumexp(log_weights, values) / (a - 1)
+
+
+def sgm_order(alpha: float) -> int:
+    """alpha rounded up to an integer order >= 2: Renyi DP is nondecreasing in the order."""
+    return max(2, math.ceil(alpha - 1e-12))
 
 
 def sgm_rdp_per_step_any_order(q: float, sigma_eff: float, alpha: float) -> tuple[float, int]:
-    """Per-step SGM RDP at a possibly fractional order.
+    """Per-step SGM RDP at a possibly fractional order, at sgm_order(alpha).
 
-    Fractional alpha is rounded up to the next integer order; the result is a
-    valid bound at the requested order since Renyi divergence is nondecreasing
-    in alpha. Returns (eps, order actually evaluated).
+    Returns (eps, order actually evaluated).
     """
     _check_alpha(alpha)
-    order = max(2, math.ceil(alpha - 1e-12))
+    order = sgm_order(alpha)
     return sgm_rdp_per_step(q, sigma_eff, order), order
 
 

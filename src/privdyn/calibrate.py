@@ -86,12 +86,6 @@ def _shuffle_limit(params: AccountingParams, alpha: float) -> float:
     return head + sampling.shuffle_avg_term(params, alpha)
 
 
-def _samp_wo_curve(params: AccountingParams, alpha: float) -> list[float]:
-    # one pass of the recursion yields every epoch boundary
-    trace = sampling.samp_wo_log_states(params, alpha)
-    return [state.log_s / (alpha - 1.0) for state in trace[params.m :: params.m]]
-
-
 _LAST_BATCH = _fixed_partition(lambda p: p.m - 1)
 
 
@@ -108,7 +102,7 @@ class BoundKind(enum.Enum):
     SAMP_WO = "samp-wo", Family(
         eps=lambda p, a: sampling.bound_samp_wo_replacement(p, a),
         limit=lambda p, a: sampling.samp_wo_limit(p, a),
-        whole_curve=_samp_wo_curve,
+        whole_curve=lambda p, a: sampling.samp_wo_curve(p, a),
     )
     FIXED_LAST_BATCH = "fixed-last", _LAST_BATCH
     IMPROVED_LAST = "improved-last", _LAST_BATCH

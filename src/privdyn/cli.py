@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -163,6 +164,10 @@ def _alpha_list(merged: dict) -> list[float]:
 
 
 def _emit(record: dict, args: argparse.Namespace) -> None:
+    for key, value in sorted(record.items()):
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise AccountingError(f"{key} = {value!r} is not finite and cannot be written as JSON")
     if getattr(args, "timestamp", False):
         record["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     print(json.dumps(record, sort_keys=True, allow_nan=False))
@@ -183,7 +188,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "params": _params_echo(params),
     }
     if kind is BoundKind.SGM_COMPOSITION:
-        orders = [baselines.sgm_rdp_per_step_any_order(params.q, baselines.SgmParams.from_params(params).sigma_eff, a)[1] for a in alphas]
+        orders = [baselines.sgm_order(a) for a in alphas]
         if any(o != a for o, a in zip(orders, alphas)):
             record["sgm_order"] = orders[0] if single else orders
     delta = merged.get("delta")
@@ -433,7 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (oracle.DominanceViolated, oracle.StatisticalMismatch) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except AccountingError as exc:
+    # an ArithmeticError: float64 cannot evaluate the bound at these inputs
+    except (AccountingError, ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

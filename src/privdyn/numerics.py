@@ -8,8 +8,10 @@ taken as exp(x*ln r) so they underflow cleanly to 0.0 instead of looping.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable
+import operator
+from typing import Sequence, Union
 
 __all__ = [
     "contraction_log",
@@ -43,17 +45,24 @@ def geometric_sum(log_r: float, terms: float) -> float:
     return math.expm1(terms * log_r) / math.expm1(log_r)
 
 
-def logsumexp(values: Iterable[float]) -> float:
-    """log(sum(exp(v))) with the max shifted out; tolerates -inf entries."""
-    vals = [v for v in values]
-    if not vals:
-        raise ValueError("logsumexp of an empty sequence")
-    top = max(vals)
-    if top == -math.inf:
-        return -math.inf
-    if top == math.inf:
-        return math.inf
-    acc = 0.0
-    for v in vals:
-        acc += math.exp(v - top)
-    return top + math.log(acc)
+def logsumexp(log_weights: Union[float, Sequence[float]], values: Sequence[float]) -> float:
+    """log(sum_i w_i * exp(x_i)) for weights w_i = exp(log_weights[i]) summing to 1.
+
+    A single float log-weight is shared by every value. The result is
+    c + log1p(sum_i w_i * expm1(x_i - c)) with c = max(0, max_i(ln w_i + x_i)),
+    so a sum close to 1 keeps its precision: the excess over 1 is summed
+    directly. A term with x_i - c > 1 is formed as exp(ln w_i + x_i - c) - w_i,
+    whose exponent is <= 0, so a tiny weight on a huge value cannot overflow.
+    With every x_i >= 0 the exact excess is >= 0; at c = 0 each of its terms
+    is, so a result close to 0 cannot round below 0.
+    """
+    if isinstance(log_weights, float):
+        log_weights = itertools.repeat(log_weights)  # endless; zip stops at the last value
+    c = max(0.0, max(map(operator.add, log_weights, values)))
+    if c == math.inf:
+        return c
+    excess = math.fsum(
+        math.exp(lw + x - c) - math.exp(lw) if x - c > 1.0 else math.exp(lw) * math.expm1(x - c)
+        for lw, x in zip(log_weights, values)
+    )
+    return c + math.log1p(excess)

@@ -188,8 +188,9 @@ def validate(params: AccountingParams) -> AccountingParams:
     Runs once per construction, from AccountingParams.__post_init__; the
     bounds never re-check. Idempotent. Raises NonPositive,
     BatchCountTooSmall, NonDividingBatch, StepsizeTooLarge, or
-    AccountingError for a non-finite field; derived quantities (m, r,
-    eps1_coeff, q) are exposed as properties of the returned object.
+    AccountingError for a non-finite field or eps1 coefficient; derived
+    quantities (m, r, eps1_coeff, q) are exposed as properties of the
+    returned object.
     """
     for name, value in (
         ("eta", params.eta), ("sigma", params.sigma), ("lambda", params.lam),
@@ -221,6 +222,13 @@ def validate(params: AccountingParams) -> AccountingParams:
             f"eta = {params.eta} must be < {params.regularity.max_stepsize()} "
             f"(2/(lambda+beta) for lambda={params.lam}, beta={params.beta})"
         )
+    try:
+        coeff_finite = math.isfinite(params.eps1_coeff)
+    except ArithmeticError:  # sigma**2 underflows to 0, or S_g**2 overflows
+        coeff_finite = False
+    if not coeff_finite:
+        raise AccountingError(f"float64 cannot evaluate eps1 = alpha*eta*S_g^2/(4*sigma^2*b^2) "
+                              f"at sigma = {params.sigma!r}, sensitivity = {params.s_g!r}")
     if params.regularity.strongly_convex:
         # 0 < r < 1 is implied by 0 < eta*lambda < 1, which the stepsize check
         # guarantees since lambda <= beta. Assert on ln r: the exponentiated

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dynamics import (
     _check_alpha,
@@ -29,10 +29,10 @@ from .params import AccountingError, AccountingParams
 __all__ = [
     "WeightsNotNormalized",
     "ShuffleBound",
-    "SampWoState",
     "bound_shuffle",
     "bound_samp_wo_replacement",
-    "samp_wo_log_states",
+    "samp_wo_log_steps",
+    "samp_wo_curve",
     "samp_wo_limit",
     "mixture_bound",
 ]
@@ -56,33 +56,18 @@ class ShuffleBound:
         return self.first_term + self.avg_term
 
 
-@dataclass(frozen=True, slots=True)
-class SampWoState:
-    """Moment surrogate after one recursion step: S = exp(log_s) >= 1."""
-
-    step: int
-    log_s: float
-
-    @property
-    def s(self) -> float:
-        return math.exp(self.log_s)
-
-
 def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
     """Log-avg-exp tail of the shuffle bound (independent of the epoch count).
 
-    (1/(a-1)) * log(avg_{j0 < m} exp((a-1)*eps0(m - j0))), computed after
-    factoring out the largest exponent (a-1)*eps0(1) so no overflow can occur
-    for any alpha.
+    (1/(a-1)) * log(avg_{j0 < m} exp((a-1)*eps0(m - j0))), through the
+    mixture kernel with every weight 1/m.
     """
     _check_alpha(alpha)
     _require_strongly_convex(params, "shuffle_avg_term")
     _require_two_batches(params, "shuffle_avg_term")
     scale = alpha - 1.0
-    tails = [eps0_term(params, alpha, j) for j in range(1, params.m + 1)]
-    top = tails[0]  # eps0(1) is the largest term
-    shifted = math.fsum(math.exp(scale * (t - top)) for t in tails) / params.m
-    return top + math.log(shifted) / scale
+    exponents = [scale * eps0_term(params, alpha, j) for j in range(1, params.m + 1)]
+    return logsumexp(-math.log(params.m), exponents) / scale
 
 
 def bound_shuffle(params: AccountingParams, alpha: float) -> ShuffleBound:
@@ -100,46 +85,44 @@ def bound_shuffle(params: AccountingParams, alpha: float) -> ShuffleBound:
     )
 
 
-def _samp_wo_step(params: AccountingParams, alpha: float, log_s: float) -> float:
-    """One log-domain update: l <- logsumexp(ln q + (a-1)*eps1 + l, ln(1-q) + r*l)."""
-    q = params.q
+def samp_wo_log_steps(params: AccountingParams, alpha: float) -> Iterator[float]:
+    """log S after each step of the samp-wo recursion, for steps 1..K*m.
+
+    l <- log(q*e^((a-1)*eps1 + l) + (1-q)*e^(r*l)) from l = 0. The true
+    sequence increases strictly toward its fixed point, so the first step
+    that makes no progress in float64 ends the iteration early: every
+    further step would return the same value.
+    """
+    _check_alpha(alpha)
+    _require_strongly_convex(params, "the samp-wo recursion")
+    q, r = params.q, params.r
+    # q = 1 is pure composition: the contracted branch has weight 0
+    log_weights = (math.log(q), math.log1p(-q) if q < 1.0 else -math.inf)
     gain = (alpha - 1.0) * params.eps1(alpha)
-    if q >= 1.0:
-        return gain + log_s  # pure composition: the contracted branch has weight 0
-    # S >= 1 analytically (the update is a mean of terms >= S^r >= 1);
-    # clamp away logsumexp rounding at the start of the recursion
-    return max(
-        0.0,
-        logsumexp((math.log(q) + gain + log_s, math.log1p(-q) + params.r * log_s)),
-    )
+    log_s = 0.0
+    for _ in range(params.steps):
+        nxt = logsumexp(log_weights, (gain + log_s, r * log_s))
+        if nxt <= log_s:
+            return
+        log_s = nxt
+        yield log_s
 
 
 def bound_samp_wo_replacement(params: AccountingParams, alpha: float) -> float:
     """Sampling-without-replacement bound: log(S_K)/(alpha-1) after K*m steps."""
-    _check_alpha(alpha)
-    _require_strongly_convex(params, "bound_samp_wo_replacement")
-    log_s = 0.0
-    for _ in range(params.steps):
-        nxt = _samp_wo_step(params, alpha, log_s)
-        if nxt <= log_s:
-            # The true sequence is strictly increasing below its fixed point,
-            # so no progress means float resolution is reached; every further
-            # step returns the same value.
-            break
-        log_s = nxt
-    return log_s / (alpha - 1.0)
+    # the steps increase, so the last one is the largest
+    return max(samp_wo_log_steps(params, alpha), default=0.0) / (alpha - 1.0)
 
 
-def samp_wo_log_states(params: AccountingParams, alpha: float) -> list[SampWoState]:
-    """Per-step trace of the log-domain recursion, including the start state."""
-    _check_alpha(alpha)
-    _require_strongly_convex(params, "samp_wo_log_states")
-    states = [SampWoState(step=0, log_s=0.0)]
+def samp_wo_curve(params: AccountingParams, alpha: float) -> list[float]:
+    """The samp-wo bound at K = 1..params.epochs from one run of the recursion."""
+    eps: list[float] = []
     log_s = 0.0
-    for step in range(1, params.steps + 1):
-        log_s = _samp_wo_step(params, alpha, log_s)
-        states.append(SampWoState(step=step, log_s=log_s))
-    return states
+    for step, log_s in enumerate(samp_wo_log_steps(params, alpha), start=1):
+        if step % params.m == 0:
+            eps.append(log_s / (alpha - 1.0))
+    # after an early stop every later epoch ends at the last value
+    return eps + [log_s / (alpha - 1.0)] * (params.epochs - len(eps))
 
 
 def samp_wo_limit(params: AccountingParams, alpha: float) -> float:
@@ -154,20 +137,21 @@ def samp_wo_limit(params: AccountingParams, alpha: float) -> float:
     _require_strongly_convex(params, "samp_wo_limit")
     q = params.q
     gain = (alpha - 1.0) * params.eps1(alpha)
-    if q >= 1.0:
+    if q >= 1.0 or math.log(q) + gain >= 0.0:
         return math.inf
-    log_qe = math.log(q) + gain
-    if log_qe >= 0.0:
+    # (1 - q*e^gain)/(1 - q) = 1 - growth, formed without cancellation
+    growth = q * math.expm1(gain) / (1.0 - q)
+    if growth >= 1.0:
         return math.inf
-    log_s_star = (math.log1p(-q) - math.log(-math.expm1(log_qe))) / -math.expm1(params.log_r)
+    log_s_star = -math.log1p(-growth) / -math.expm1(params.log_r)
     return log_s_star / (alpha - 1.0)
 
 
 def mixture_bound(mixtures: Sequence[tuple[float, float]], alpha: float) -> float:
     """Combine per-component RDP values through the scaled-exponential mixture rule.
 
-    Returns (1/(a-1)) * log(sum_i w_i * exp((a-1)*eps_i)), shifted by the
-    largest exponent before exponentiating.
+    Returns (1/(a-1)) * log(sum_i w_i * exp((a-1)*eps_i)) through the mixture
+    kernel.
     """
     _check_alpha(alpha)
     if not mixtures:
@@ -181,8 +165,5 @@ def mixture_bound(mixtures: Sequence[tuple[float, float]], alpha: float) -> floa
     if any(e < 0 for e in comps):
         raise AccountingError("mixture components must be nonnegative")
     scale = alpha - 1.0
-    terms = [
-        (math.log(w) if w > 0 else -math.inf) + scale * e
-        for w, e in mixtures
-    ]
-    return logsumexp(terms) / scale
+    log_weights = [math.log(w) if w > 0 else -math.inf for w in weights]
+    return logsumexp(log_weights, [scale * e for e in comps]) / scale

@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import mpmath
+
 from privdyn.baselines import SgmParams, sgm_rdp_per_step_any_order
 from privdyn.dynamics import IndexOutOfRange, _check_alpha
-from privdyn.numerics import geometric_sum, logsumexp
+from privdyn.numerics import geometric_sum
 from privdyn.params import AccountingError, AccountingParams, ConvexityClass
 from privdyn.sampling import mixture_bound
 
@@ -108,9 +110,9 @@ def check_joint_convexity(mixtures: Sequence[tuple[float, float]], alpha: float)
     combined = mixture_bound(mixtures, alpha)
     scale = alpha - 1.0
     lhs = scale * combined
-    rhs = logsumexp(
-        [(math.log(w) if w > 0 else -math.inf) + scale * e for w, e in mixtures]
-    )
+    # reference sum, independent of the kernel that mixture_bound uses
+    with mpmath.workdps(30):
+        rhs = float(mpmath.log(mpmath.fsum(w * mpmath.exp(scale * e) for w, e in mixtures)))
     if lhs > rhs + 1e-9 * max(1.0, abs(rhs)):
         raise AssertionError(f"mixture inequality violated: {lhs} > {rhs}")
     return True

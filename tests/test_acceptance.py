@@ -37,7 +37,7 @@ from privdyn import (
     with_sigma,
 )
 from privdyn.convert import DpGuarantee
-from privdyn.sampling import samp_wo_log_states
+from privdyn.sampling import samp_wo_log_steps
 
 from helpers import recursion_coefficients
 
@@ -160,19 +160,18 @@ def test_criterion_06_shuffle_crossover():
 
 def test_criterion_07_samp_wo_recursion():
     with criterion("AC-7 samp-wo recursion: one-step value, domains, state"):
-        states = samp_wo_log_states(ref_at(1), 10)
-        assert states[1].log_s / 9 == pytest.approx(0.0024975, abs=1e-6)
+        first = next(samp_wo_log_steps(ref_at(1), 10))
+        assert first / 9 == pytest.approx(0.0024975, abs=1e-6)
         p80 = ref_at(80)
-        trace = samp_wo_log_states(p80, 10)
+        logs = [0.0, *samp_wo_log_steps(p80, 10)]
         # linear-domain recursion while S < 1e30
         q, gain, r = p80.q, math.exp(9 * p80.eps1(10)), p80.r
         s = 1.0
-        for state in trace[1:]:
+        for log_s in logs[1:]:
             s = q * gain * s + (1 - q) * s**r
             if s < 1e30:
-                assert state.log_s == pytest.approx(math.log(s), rel=1e-10, abs=1e-12)
-        assert all(st.log_s >= 0.0 for st in trace)  # S >= 1 throughout
-        logs = [st.log_s for st in trace]
+                assert log_s == pytest.approx(math.log(s), rel=1e-10, abs=1e-12)
+        assert all(log_s >= 0.0 for log_s in logs)  # S >= 1 throughout
         assert all(b >= a for a, b in zip(logs, logs[1:]))
 
 

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from privdyn import (
+    AccountingError,
     NonIntegerOrder,
     SgmParams,
     mixing_diffusion_first_batch,
@@ -100,6 +101,14 @@ def test_sgm_large_order_via_log_gamma():
     value = sgm_rdp_per_step(0.04, 10.0, 10_000)
     assert math.isfinite(value)
     assert value > 0
+
+
+def test_sgm_rejects_orders_above_10000(ref_params):
+    # the moment sum has order + 1 terms; a huge order must fail, not hang
+    with pytest.raises(AccountingError, match="10000"):
+        sgm_rdp_per_step(0.04, 10.0, 10_001)
+    with pytest.raises(AccountingError, match="10000"):
+        sgm_eps(ref_params, 1e300)
 
 
 def test_sgm_composition_linear_in_steps(ref_params):

@@ -186,6 +186,15 @@ def test_non_finite_fields_rejected_at_construction(field, value):
         make_params(**fields)
 
 
+@pytest.mark.parametrize("field, value", [("sigma", 1e-200), ("sigma", 1e-160), ("s_g", 1e200)])
+def test_params_float64_cannot_evaluate_rejected_at_construction(field, value):
+    # sigma**2 underflows to 0 (1e-200), eps1_coeff overflows (1e-160), S_g**2 overflows
+    fields = dict(n=50, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
+    fields[field] = value
+    with pytest.raises(AccountingError, match="float64 cannot evaluate"):
+        make_params(**fields)
+
+
 def test_every_construction_validates(ref_params):
     # dataclasses.replace and the with_* helpers rebuild through __post_init__
     with pytest.raises(StepsizeTooLarge):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privdyn import (
+    BoundKind,
     WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
@@ -12,9 +13,9 @@ from privdyn import (
     make_params,
     mixture_bound,
     samp_wo_limit,
-    samp_wo_log_states,
     with_epochs,
 )
+from privdyn.sampling import samp_wo_log_steps
 
 from helpers import check_joint_convexity
 
@@ -64,9 +65,9 @@ def test_shuffle_sandwiched_by_fixed_bounds(ref_params):
 
 def test_samp_wo_one_step():
     p = make_params(n=50, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
-    states = samp_wo_log_states(p, 10)
+    first = next(samp_wo_log_steps(p, 10))
     # ln(0.04*e^0.45 + 0.96)/9, frozen from 60-digit evaluation
-    assert states[1].log_s / 9 == pytest.approx(0.002497550516593540, rel=1e-10)
+    assert first / 9 == pytest.approx(0.002497550516593540, rel=1e-10)
 
 
 def test_samp_wo_full_batch_is_pure_composition():
@@ -80,24 +81,22 @@ def test_samp_wo_full_batch_is_pure_composition():
 def test_samp_wo_lambda_zero_limit_is_linear_growth():
     # r -> 1 turns the recursion into S <- (q*e^((a-1)eps1) + 1 - q)*S
     p = make_params(n=50, b=2, eta=0.02, epochs=4, sigma=2.0, lam=1e-15, beta=4.0, s_g=4.0)
-    states = samp_wo_log_states(p, 10)
     per_step = math.log(p.q * math.exp(9 * p.eps1(10)) + 1 - p.q)
-    for state in states[1:]:
-        assert state.log_s == pytest.approx(state.step * per_step, rel=1e-9)
+    for step, log_s in enumerate(samp_wo_log_steps(p, 10), start=1):
+        assert log_s == pytest.approx(step * per_step, rel=1e-9)
 
 
 def test_samp_wo_state_invariants(ref_params):
     p = with_epochs(ref_params, 80)
-    states = samp_wo_log_states(p, 10)
-    assert len(states) == p.steps + 1
-    logs = [s.log_s for s in states]
+    logs = [0.0, *samp_wo_log_steps(p, 10)]
+    assert len(logs) <= p.steps + 1  # the recursion may stop at its fixed point
     assert all(b >= a for a, b in zip(logs, logs[1:]))
-    assert all(s.log_s >= 0.0 for s in states)  # S >= 1 throughout
+    assert all(log_s >= 0.0 for log_s in logs)  # S >= 1 throughout
     # log-domain vs linear-domain while S < 1e30
     linear = linear_domain_samp_wo(p, 10, p.steps)
-    for state, s_lin in zip(states, linear):
+    for log_s, s_lin in zip(logs, linear):
         if s_lin < 1e30:
-            assert state.log_s == pytest.approx(math.log(s_lin), rel=1e-10, abs=1e-12)
+            assert log_s == pytest.approx(math.log(s_lin), rel=1e-10, abs=1e-12)
 
 
 def test_samp_wo_converges_to_fixed_point(ref_params):
@@ -106,6 +105,26 @@ def test_samp_wo_converges_to_fixed_point(ref_params):
     for alpha, expected in ((10, 0.06724058347919899), (15, 0.14531352176485305), (20, 0.35935974469297990)):
         assert bound_samp_wo_replacement(p, alpha) == pytest.approx(expected, rel=1e-9)
         assert samp_wo_limit(p, alpha) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("epochs, alpha", [(80, 10.0), (80, 30.0), (3, 2.0)])
+def test_samp_wo_curve_row_k_equals_bound_at_k(ref_params, epochs, alpha):
+    # at alpha = 10 the recursion stops early (step 891 of 2000), mid-epoch;
+    # at alpha = 30 it diverges and runs every step
+    p = with_epochs(ref_params, epochs)
+    curve = BoundKind.SAMP_WO.family.curve(p, alpha)
+    assert curve == [bound_samp_wo_replacement(with_epochs(p, k), alpha) for k in range(1, epochs + 1)]
+
+
+@pytest.mark.parametrize(
+    "sigma, eta, alpha, epochs",
+    [(2.0, 0.02, 10.0, 80), (2.0, 0.02, 2.0, 80), (1e4, 0.02, 1.25, 400), (1e8, 0.01, 64.0, 4000)],
+)
+def test_samp_wo_early_stop_ends_at_limit(sigma, eta, alpha, epochs):
+    p = make_params(n=50, b=2, eta=eta, epochs=epochs, sigma=sigma, lam=1.0, beta=4.0, s_g=4.0)
+    steps = sum(1 for _ in samp_wo_log_steps(p, alpha))
+    assert steps < p.steps
+    assert bound_samp_wo_replacement(p, alpha) == pytest.approx(samp_wo_limit(p, alpha), rel=1e-12)
 
 
 def test_samp_wo_monotone_in_k_and_alpha(ref_params):
