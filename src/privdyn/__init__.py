@@ -6,8 +6,6 @@ from .params import (
     AccountingError,
     AccountingParams,
     BatchCountTooSmall,
-    ConvexityClass,
-    LossRegularity,
     Neighboring,
     NonDividingBatch,
     NonPositive,
@@ -15,7 +13,6 @@ from .params import (
     StepsizeTooLarge,
     load_config,
     make_params,
-    multiplier_from_sigma,
     sigma_from_multiplier,
     validate,
     with_epochs,
@@ -61,7 +58,6 @@ from .convert import (
 from .calibrate import (
     MAXED_OUT,
     BoundKind,
-    BracketTooNarrow,
     MaxedOut,
     Unsatisfiable,
     bound_limit,

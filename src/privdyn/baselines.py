@@ -20,7 +20,6 @@ __all__ = [
     "SgmParams",
     "sgm_order",
     "sgm_rdp_per_step",
-    "sgm_rdp_per_step_any_order",
     "sgm_eps",
     "mixing_diffusion_first_batch",
     "mixing_diffusion_last_batch",
@@ -55,7 +54,8 @@ def sgm_rdp_per_step(q: float, sigma_eff: float, alpha: int) -> float:
 
     (1/(a-1)) * ln sum_{k=0}^{a} C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2)),
     summed by the mixture kernel over log-gamma binomial weights, so it
-    cannot overflow. Orders above 10 000 are refused.
+    cannot overflow. Orders above 10 000, and a sigma_eff whose square
+    overflows float64, are refused.
     """
     if not (isinstance(alpha, int) or float(alpha).is_integer()):
         raise NonIntegerOrder(f"alpha = {alpha!r} is not an integer order")
@@ -68,12 +68,18 @@ def sgm_rdp_per_step(q: float, sigma_eff: float, alpha: int) -> float:
         raise AccountingError(f"sampling ratio q = {q!r} outside (0, 1]")
     if not sigma_eff > 0:
         raise AccountingError(f"sigma_eff must be positive, got {sigma_eff!r}")
+    try:
+        two_var = 2.0 * sigma_eff**2
+    except OverflowError:
+        two_var = math.inf
+    if two_var == math.inf:
+        raise AccountingError(f"sigma_eff = {sigma_eff!r} is too large: 2*sigma_eff^2 overflows float64")
     if q == 1.0:
-        return a / (2.0 * sigma_eff**2)
+        return a / two_var
     log_q = math.log(q)
     log_1mq = math.log1p(-q)
     lg = math.lgamma
-    log_a_fact, two_var = lg(a + 1), 2.0 * sigma_eff**2
+    log_a_fact = lg(a + 1)
     log_weights = [
         log_a_fact - lg(k + 1) - lg(a - k + 1) + (a - k) * log_1mq + k * log_q
         for k in range(a + 1)
@@ -87,26 +93,13 @@ def sgm_order(alpha: float) -> int:
     return max(2, math.ceil(alpha - 1e-12))
 
 
-def sgm_rdp_per_step_any_order(q: float, sigma_eff: float, alpha: float) -> tuple[float, int]:
-    """Per-step SGM RDP at a possibly fractional order, at sgm_order(alpha).
-
-    Returns (eps, order actually evaluated).
-    """
+def sgm_eps(params: AccountingParams, alpha: float) -> float:
+    """Composed SGM bound after params.epochs epochs, at the order sgm_order(alpha)."""
     _check_alpha(alpha)
-    order = sgm_order(alpha)
-    return sgm_rdp_per_step(q, sigma_eff, order), order
-
-
-def sgm_eps(params: AccountingParams, alpha: float, epochs: int | None = None) -> float:
-    """Composed SGM bound after ``epochs`` (default params.epochs) epochs."""
-    sgm = SgmParams.from_params(params)
-    k = params.epochs if epochs is None else int(epochs)
-    if k < 0:
-        raise AccountingError(f"epochs must be >= 0, got {k}")
-    if k == 0:
+    if params.epochs == 0:
         return 0.0
-    per_step, _ = sgm_rdp_per_step_any_order(sgm.q, sgm.sigma_eff, alpha)
-    return k * params.m * per_step
+    sgm = SgmParams.from_params(params)
+    return sgm.steps * sgm_rdp_per_step(sgm.q, sgm.sigma_eff, sgm_order(alpha))
 
 
 def _mixing_slope(params: AccountingParams, alpha: float) -> float:

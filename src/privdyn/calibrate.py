@@ -15,7 +15,6 @@ from .params import AccountingError, AccountingParams, RdpPoint, with_epochs, wi
 
 __all__ = [
     "Unsatisfiable",
-    "BracketTooNarrow",
     "Family",
     "BoundKind",
     "MaxedOut",
@@ -30,10 +29,6 @@ __all__ = [
 
 class Unsatisfiable(AccountingError):
     """No noise scale inside the bracket meets the target."""
-
-
-class BracketTooNarrow(AccountingError):
-    """Degenerate search bracket."""
 
 
 Bound = Callable[[AccountingParams, float], float]
@@ -67,7 +62,7 @@ def _fixed_partition(j0_of: Callable[[AccountingParams], int]) -> Family:
     """The fixed-partition bound for the record in batch j0_of(params)."""
 
     def limit(params: AccountingParams, alpha: float) -> float:
-        if params.regularity.strongly_convex:
+        if params.strongly_convex:
             return dynamics.fixed_bound_limit(params, alpha, j0_of(params))
         return math.inf  # convex fixed bound grows linearly in K
 
@@ -144,8 +139,6 @@ MAXED_OUT = MaxedOut.MAXED_OUT
 
 def evaluate_bound(params: AccountingParams, alpha: float, kind: BoundKind) -> float:
     """RDP eps of one bound family at params.epochs."""
-    if params.epochs == 0:
-        return 0.0
     return kind.family.eps(params, alpha)
 
 
@@ -178,20 +171,16 @@ def calibrate_noise(
     target_eps: float,
     delta: float,
     kind: BoundKind,
-    bracket: tuple[float, float] = (1e-6, 1e6),
-    rel_tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> float:
-    """Smallest sigma whose converted eps meets the target, by bisection.
+    """Smallest sigma in [1e-6, 1e6] whose converted eps meets the target.
 
-    Every implemented bound is strictly decreasing in sigma. Ties break
-    toward larger sigma (the bisection keeps the feasible endpoint). The
-    incoming params.sigma is ignored; the bracket is searched directly.
+    Bisects in log space until the bracket is within a relative 1e-6 (at
+    most 200 midpoints). Every implemented bound is strictly decreasing in
+    sigma. Ties break toward larger sigma (the bisection keeps the feasible
+    endpoint). The incoming params.sigma is ignored.
     """
     _check_target(target_eps)
-    lo, hi = bracket
-    if not (lo > 0 and hi > lo):
-        raise BracketTooNarrow(f"bad sigma bracket {bracket!r}")
+    lo, hi = 1e-6, 1e6
 
     def eps_at(sigma: float) -> float:
         return converted_eps(with_sigma(params, sigma), alpha_grid, delta, kind)
@@ -202,13 +191,13 @@ def calibrate_noise(
         raise Unsatisfiable(
             f"even sigma = {hi} gives eps > {target_eps} for {kind.value}"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = math.sqrt(lo * hi)  # sigma spans decades; bisect in log space
         if eps_at(mid) <= target_eps:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-6 * hi:
             break
     return hi
 

@@ -22,6 +22,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import baselines, calibrate, convert, oracle
 from .calibrate import BoundKind
 from .params import (
+    CONFIG_KEYS,
     AccountingError,
     AccountingParams,
     Neighboring,
@@ -61,24 +62,9 @@ def _merged_options(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         merged.update(load_config(args.config))
-    overrides = {
-        "n": args.n,
-        "b": args.b,
-        "eta": args.eta,
-        "epochs": args.epochs,
-        "sigma": args.sigma,
-        "sigma_mul": args.sigma_mul,
-        "lambda": args.lam,
-        "beta": args.beta,
-        "sensitivity": args.sensitivity,
-        "clip_feature": args.clip_feature,
-        "clip_gradient": args.clip_gradient,
-        "alpha": args.alpha,
-        "delta": args.delta,
-        "neighboring": args.neighboring,
-        "truncate_last_batch": args.truncate_last_batch or None,
-    }
-    for key, value in overrides.items():
+    # every param flag's dest is its config key; an absent flag is None
+    for key in sorted(CONFIG_KEYS):
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -239,7 +225,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     grid = (
         _alpha_list(merged)
         if merged.get("alpha") is not None
-        else list(convert.alpha_grid_from_env())
+        else list(convert.DEFAULT_ALPHA_GRID)
     )
     if args.solve == "sigma":
         direct_path = all(merged.get(k) is None for k in ("clip_feature", "clip_gradient"))
@@ -357,6 +343,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
+    """The --config file and one flag per CONFIG_KEYS entry, whose dest is that key."""
     sub.add_argument("--config", help="flat key = value config file; flags override it")
     sub.add_argument("--n", type=int, help="dataset size")
     sub.add_argument("--b", type=int, help="mini-batch size")
@@ -364,7 +351,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epochs", type=int, help="number of epochs")
     sub.add_argument("--sigma", type=float, help="noise scale (per-step variance 2*eta*sigma^2)")
     sub.add_argument("--sigma-mul", dest="sigma_mul", type=float, help="implementation noise multiplier")
-    sub.add_argument("--lambda", dest="lam", type=float, help="strong convexity constant (0 = convex)")
+    sub.add_argument("--lambda", dest="lambda", type=float, help="strong convexity constant (0 = convex)")
     sub.add_argument("--beta", type=float, help="smoothness constant")
     sub.add_argument("--sensitivity", type=float, help="gradient l2-sensitivity S_g")
     sub.add_argument("--clip-feature", dest="clip_feature", type=float, help="feature clip norm (logistic derivation)")
@@ -372,7 +359,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=str, help="Renyi order or comma-separated list")
     sub.add_argument("--delta", type=float, help="target delta for (eps, delta)-DP")
     sub.add_argument("--neighboring", choices=[n.value for n in Neighboring], help="dataset adjacency notion")
-    sub.add_argument("--truncate-last-batch", dest="truncate_last_batch", action="store_true", default=False,
+    sub.add_argument("--truncate-last-batch", dest="truncate_last_batch", action="store_true", default=None,
                      help="ignore the tail batch when b does not divide n")
     sub.add_argument("--timestamp", action="store_true", help="add a timestamp field to JSON output")
 

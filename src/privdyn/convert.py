@@ -4,9 +4,8 @@ regularized-logistic-regression parameter derivations."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .params import (
     AccountingError,
@@ -25,8 +24,6 @@ __all__ = [
     "DpGuarantee",
     "LogisticConstants",
     "DEFAULT_ALPHA_GRID",
-    "ALPHA_GRID_ENV",
-    "alpha_grid_from_env",
     "rdp_to_dp",
     "translate_neighboring",
     "logistic_constants",
@@ -43,8 +40,6 @@ class InvalidDelta(AccountingError):
     """delta outside (0, 1]."""
 
 
-ALPHA_GRID_ENV = "ACCOUNTANT_ALPHA_GRID"
-
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (
     1.25,
     1.5,
@@ -52,20 +47,6 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (
     128.0,
     256.0,
 )
-
-
-def alpha_grid_from_env(default: Sequence[float] = DEFAULT_ALPHA_GRID) -> tuple[float, ...]:
-    """Default order grid, overridable via the ACCOUNTANT_ALPHA_GRID env var."""
-    raw = os.environ.get(ALPHA_GRID_ENV)
-    if not raw:
-        return tuple(default)
-    try:
-        grid = tuple(sorted(float(tok) for tok in raw.split(",") if tok.strip()))
-    except ValueError as exc:
-        raise AccountingError(f"cannot parse {ALPHA_GRID_ENV}={raw!r}") from exc
-    if not grid or any(a <= 1 for a in grid):
-        raise AccountingError(f"{ALPHA_GRID_ENV} must list orders > 1, got {raw!r}")
-    return grid
 
 
 @dataclass(frozen=True, slots=True)

@@ -62,7 +62,7 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _require_strongly_convex(params: AccountingParams, what: str) -> None:
-    if not params.regularity.strongly_convex:
+    if not params.strongly_convex:
         raise RegularityMismatch(f"{what} needs a strongly convex loss (lambda > 0)")
 
 
@@ -84,7 +84,7 @@ def eps0_term(params: AccountingParams, alpha: float, j: int) -> float:
     if j < 1 or j > params.m:
         raise IndexOutOfRange(f"j = {j} outside [1, {params.m}]")
     eps1 = params.eps1(alpha)
-    if not params.regularity.strongly_convex:
+    if not params.strongly_convex:
         return eps1 / j
     return eps1 * contraction_pow(params.log_r, j - 1) / geometric_sum(params.log_r, j)
 
@@ -130,7 +130,7 @@ def bound_convex_fixed(params: AccountingParams, alpha: float, j0: int) -> Fixed
     eps = eps1 * (K-1)/m + eps1/(m - j0).
     """
     _check_alpha(alpha)
-    if params.regularity.strongly_convex:
+    if params.strongly_convex:
         raise RegularityMismatch("bound_convex_fixed needs a convex loss (lambda = 0)")
     if j0 < 0 or j0 >= params.m:
         raise IndexOutOfRange(f"j0 = {j0} outside [0, {params.m - 1}]")
@@ -143,7 +143,7 @@ def bound_convex_fixed(params: AccountingParams, alpha: float, j0: int) -> Fixed
 
 def bound_fixed(params: AccountingParams, alpha: float, j0: int) -> FixedBatchBound:
     """Dispatch to the convex or strongly convex fixed-batch bound."""
-    if params.regularity.strongly_convex:
+    if params.strongly_convex:
         return bound_strongly_convex_fixed(params, alpha, j0)
     return bound_convex_fixed(params, alpha, j0)
 

@@ -319,17 +319,19 @@ class MonteCarloReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+_Z_MAX = 5.0  # monte_carlo_check's tolerance, in standard errors
+
+
 def monte_carlo_check(
     instance: OracleInstance,
     samples: int,
     seed: int,
     alt: bool = False,
-    z_max: float = 5.0,
 ) -> MonteCarloReport:
     """Simulate the noisy updates and compare moments with the Gaussian recursion.
 
     Runs ``samples`` independent trajectories with a seeded generator and
-    asserts the empirical last-iterate mean and variance sit within ``z_max``
+    asserts the empirical last-iterate mean and variance sit within 5
     standard errors of the recursion's prediction. Deterministic given the
     seed; raises StatisticalMismatch on disagreement.
     """
@@ -362,8 +364,8 @@ def monte_carlo_check(
         mean_z=mean_z,
         variance_z=var_z,
     )
-    if abs(mean_z) > z_max or abs(var_z) > z_max:
+    if abs(mean_z) > _Z_MAX or abs(var_z) > _Z_MAX:
         raise StatisticalMismatch(
-            f"moments off by more than {z_max} SE: mean_z={mean_z}, variance_z={var_z}"
+            f"moments off by more than {_Z_MAX} SE: mean_z={mean_z}, variance_z={var_z}"
         )
     return report

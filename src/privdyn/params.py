@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -24,9 +25,7 @@ __all__ = [
     "BatchCountTooSmall",
     "NonDividingBatch",
     "ConfigError",
-    "ConvexityClass",
     "Neighboring",
-    "LossRegularity",
     "AccountingParams",
     "RdpPoint",
     "make_params",
@@ -34,7 +33,6 @@ __all__ = [
     "with_epochs",
     "with_sigma",
     "sigma_from_multiplier",
-    "multiplier_from_sigma",
     "load_config",
     "CONFIG_KEYS",
 ]
@@ -64,40 +62,9 @@ class ConfigError(AccountingError):
     """Malformed or unknown key in a config file."""
 
 
-class ConvexityClass(enum.Enum):
-    CONVEX = "convex"
-    STRONGLY_CONVEX = "strongly_convex"
-
-
 class Neighboring(enum.Enum):
     CHANGE_ONE = "change_one"
     REMOVE_ONE = "remove_one"
-
-
-@dataclass(frozen=True, slots=True)
-class LossRegularity:
-    """Convexity class tag plus (lambda, beta, S_g) with their validity rules.
-
-    ``lam == 0`` means convex; ``lam > 0`` means lam-strongly convex. In both
-    cases the loss is beta-smooth and the per-example gradient map has finite
-    l2-sensitivity ``s_g``.
-    """
-
-    lam: float
-    beta: float
-    s_g: float
-
-    @property
-    def convexity(self) -> ConvexityClass:
-        return ConvexityClass.STRONGLY_CONVEX if self.lam > 0 else ConvexityClass.CONVEX
-
-    @property
-    def strongly_convex(self) -> bool:
-        return self.lam > 0
-
-    def max_stepsize(self) -> float:
-        """Exclusive upper stepsize: 2/(lambda+beta), or 2/beta when convex."""
-        return 2.0 / (self.lam + self.beta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,10 +73,12 @@ class AccountingParams:
 
     Fields: dataset size ``n``, mini-batch size ``b``, stepsize ``eta``,
     epoch count ``epochs``, noise scale ``sigma`` (per-step noise variance
-    2*eta*sigma^2), loss regularity, neighboring notion, and the explicit
-    opt-in for ignoring a non-dividing tail batch. Every construction,
-    ``dataclasses.replace`` included, runs :func:`validate`, so a params
-    object that exists is a valid one.
+    2*eta*sigma^2), the loss regularity (``lam == 0`` convex, ``lam > 0``
+    lam-strongly convex; beta-smooth; per-example gradient l2-sensitivity
+    ``s_g``), neighboring notion, and the explicit opt-in for ignoring a
+    non-dividing tail batch. Every construction, ``dataclasses.replace``
+    included, runs :func:`validate`, so a params object that exists is a
+    valid one.
     """
 
     n: int
@@ -117,7 +86,9 @@ class AccountingParams:
     eta: float
     epochs: int
     sigma: float
-    regularity: LossRegularity
+    lam: float
+    beta: float
+    s_g: float
     neighboring: Neighboring = Neighboring.CHANGE_ONE
     truncate_last_batch: bool = False
 
@@ -125,16 +96,8 @@ class AccountingParams:
         validate(self)
 
     @property
-    def lam(self) -> float:
-        return self.regularity.lam
-
-    @property
-    def beta(self) -> float:
-        return self.regularity.beta
-
-    @property
-    def s_g(self) -> float:
-        return self.regularity.s_g
+    def strongly_convex(self) -> bool:
+        return self.lam > 0
 
     @property
     def m(self) -> int:
@@ -188,9 +151,9 @@ def validate(params: AccountingParams) -> AccountingParams:
     Runs once per construction, from AccountingParams.__post_init__; the
     bounds never re-check. Idempotent. Raises NonPositive,
     BatchCountTooSmall, NonDividingBatch, StepsizeTooLarge, or
-    AccountingError for a non-finite field or eps1 coefficient; derived
-    quantities (m, r, eps1_coeff, q) are exposed as properties of the
-    returned object.
+    AccountingError for a non-finite field or an eps1 coefficient that is
+    not a positive normal float64; derived quantities (m, r, eps1_coeff, q)
+    are exposed as properties of the returned object.
     """
     for name, value in (
         ("eta", params.eta), ("sigma", params.sigma), ("lambda", params.lam),
@@ -217,19 +180,22 @@ def validate(params: AccountingParams) -> AccountingParams:
             f"b = {params.b} does not divide n = {params.n}; "
             "pass truncate_last_batch=True to ignore the tail batch"
         )
-    if params.eta >= params.regularity.max_stepsize():
+    max_stepsize = 2.0 / (params.lam + params.beta)  # 2/beta when convex
+    if params.eta >= max_stepsize:
         raise StepsizeTooLarge(
-            f"eta = {params.eta} must be < {params.regularity.max_stepsize()} "
+            f"eta = {params.eta} must be < {max_stepsize} "
             f"(2/(lambda+beta) for lambda={params.lam}, beta={params.beta})"
         )
     try:
-        coeff_finite = math.isfinite(params.eps1_coeff)
+        coeff = params.eps1_coeff
     except ArithmeticError:  # sigma**2 underflows to 0, or S_g**2 overflows
-        coeff_finite = False
-    if not coeff_finite:
+        coeff = math.inf
+    # A subnormal or zero coefficient (S_g**2 underflows) would under-report
+    # every bound, and 1/coeff (the sgm noise-to-sensitivity ratio) overflows.
+    if not sys.float_info.min <= coeff < math.inf:
         raise AccountingError(f"float64 cannot evaluate eps1 = alpha*eta*S_g^2/(4*sigma^2*b^2) "
                               f"at sigma = {params.sigma!r}, sensitivity = {params.s_g!r}")
-    if params.regularity.strongly_convex:
+    if params.strongly_convex:
         # 0 < r < 1 is implied by 0 < eta*lambda < 1, which the stepsize check
         # guarantees since lambda <= beta. Assert on ln r: the exponentiated
         # value rounds to exactly 1.0 when eta*lambda is below float resolution.
@@ -257,7 +223,9 @@ def make_params(
         eta=float(eta),
         epochs=int(epochs),
         sigma=float(sigma),
-        regularity=LossRegularity(lam=float(lam), beta=float(beta), s_g=float(s_g)),
+        lam=float(lam),
+        beta=float(beta),
+        s_g=float(s_g),
         neighboring=neighboring,
         truncate_last_batch=truncate_last_batch,
     )
@@ -280,12 +248,6 @@ def sigma_from_multiplier(eta: float, b: int, s_g: float, sigma_mul: float) -> f
     """
     _require_positive(eta=eta, b=b, sensitivity=s_g, sigma_mul=sigma_mul)
     return math.sqrt(eta / 2.0) * sigma_mul * s_g / (2.0 * b)
-
-
-def multiplier_from_sigma(eta: float, b: int, s_g: float, sigma: float) -> float:
-    """Inverse of sigma_from_multiplier."""
-    _require_positive(eta=eta, b=b, sensitivity=s_g, sigma=sigma)
-    return sigma * 2.0 * b / (math.sqrt(eta / 2.0) * s_g)
 
 
 CONFIG_KEYS = frozenset(

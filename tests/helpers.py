@@ -7,17 +7,25 @@ SGM composition curve) and are not part of the accounting API.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import mpmath
 
-from privdyn.baselines import SgmParams, sgm_rdp_per_step_any_order
+from privdyn.baselines import SgmParams, sgm_order, sgm_rdp_per_step
 from privdyn.dynamics import IndexOutOfRange, _check_alpha
 from privdyn.numerics import geometric_sum
-from privdyn.params import AccountingError, AccountingParams, ConvexityClass
+from privdyn.params import AccountingError, AccountingParams
 from privdyn.sampling import mixture_bound
+
+
+class ConvexityClass(enum.Enum):
+    """Which log-Sobolev recursion lsi_constant follows."""
+
+    CONVEX = "convex"
+    STRONGLY_CONVEX = "strongly_convex"
 
 
 def geometric_sum_params(params: AccountingParams, terms: float) -> float:
@@ -38,7 +46,9 @@ def lsi_constant(
     constant is the +inf sentinel (math.inf, never a large finite float).
     """
     if convexity is None:
-        convexity = params.regularity.convexity
+        convexity = (
+            ConvexityClass.STRONGLY_CONVEX if params.strongly_convex else ConvexityClass.CONVEX
+        )
     if k < 0 or j < 0 or j > params.m:
         raise IndexOutOfRange(f"iteration index (k={k}, j={j}) outside the schedule")
     t = k * params.m + j
@@ -94,7 +104,7 @@ def recursion_coefficients(
     t = k * params.m + j
     if t < 0:
         raise IndexOutOfRange(f"iteration index t = {t} negative")
-    if not params.regularity.strongly_convex:
+    if not params.strongly_convex:
         return RecursionStep(multiplier=t / (t + 1.0))
     g_t = geometric_sum(params.log_r, t)
     g_next = geometric_sum(params.log_r, t + 1)
@@ -134,7 +144,8 @@ class RdpCurve:
 def sgm_composition(params: AccountingParams, alpha: float) -> RdpCurve:
     """SGM composition curve: eps(k) = k*m*per_step for k = 1..params.epochs."""
     sgm = SgmParams.from_params(params)
-    per_step, _ = sgm_rdp_per_step_any_order(sgm.q, sgm.sigma_eff, alpha)
+    _check_alpha(alpha)
+    per_step = sgm_rdp_per_step(sgm.q, sgm.sigma_eff, sgm_order(alpha))
     per_epoch = params.m * per_step
     points = tuple((k, k * per_epoch) for k in range(1, params.epochs + 1))
     return RdpCurve(alpha=float(alpha), points=points)

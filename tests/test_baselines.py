@@ -13,7 +13,7 @@ from privdyn import (
     sgm_rdp_per_step,
     with_epochs,
 )
-from privdyn.baselines import sgm_rdp_per_step_any_order
+from privdyn.baselines import sgm_order
 from privdyn.dynamics import bound_strongly_convex_fixed
 
 from helpers import sgm_composition, sgm_epoch_approximation
@@ -86,14 +86,13 @@ def test_sgm_per_step_monotonicity():
     assert all(b < a for a, b in zip(by_sigma, by_sigma[1:]))
 
 
-def test_sgm_rejects_non_integer_order():
+def test_sgm_rejects_non_integer_order(ref_params):
     with pytest.raises(NonIntegerOrder):
         sgm_rdp_per_step(0.04, 10.0, 10.5)
     with pytest.raises(NonIntegerOrder):
         sgm_rdp_per_step(0.04, 10.0, 1)
-    eps, order = sgm_rdp_per_step_any_order(0.04, 10.0, 10.5)
-    assert order == 11
-    assert eps == pytest.approx(sgm_rdp_per_step(0.04, 10.0, 11), rel=1e-15)
+    assert sgm_order(10.5) == 11
+    assert sgm_eps(ref_params, 10.5) == sgm_eps(ref_params, 11)
 
 
 def test_sgm_large_order_via_log_gamma():
@@ -111,14 +110,22 @@ def test_sgm_rejects_orders_above_10000(ref_params):
         sgm_eps(ref_params, 1e300)
 
 
+def test_sgm_rejects_sigma_eff_whose_square_overflows():
+    with pytest.raises(AccountingError, match="sigma_eff = 1e[+]200"):
+        sgm_rdp_per_step(0.04, 1e200, 2)
+    with pytest.raises(AccountingError, match="sigma_eff"):
+        sgm_rdp_per_step(1.0, 1e154, 2)  # finite square, 2*square overflows
+
+
 def test_sgm_composition_linear_in_steps(ref_params):
     per_step = sgm_rdp_per_step(0.04, 10.0, 10)
     curve = sgm_composition(ref_params, 10)
     assert len(curve.points) == 40
     for k, eps in curve.points:
         assert eps == pytest.approx(k * 25 * per_step, rel=1e-12)
-    assert sgm_eps(ref_params, 10, epochs=40) == pytest.approx(40 * 25 * per_step, rel=1e-12)
-    assert sgm_eps(ref_params, 10, epochs=0) == 0.0
+    assert sgm_eps(with_epochs(ref_params, 40), 10) == pytest.approx(
+        40 * 25 * per_step, rel=1e-12)
+    assert sgm_eps(with_epochs(ref_params, 0), 10) == 0.0
 
 
 def test_sgm_epoch_approximation_close_to_exact(ref_params):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privdyn import BoundKind, bound_shuffle, bound_strongly_convex_fixed, rdp_to_dp, RdpPoint
+from privdyn import BoundKind, Neighboring, bound_shuffle, bound_strongly_convex_fixed, rdp_to_dp, RdpPoint
 from privdyn.cli import main
 
 REF_FLAGS = [
@@ -90,11 +94,22 @@ BAD_INPUTS = {
     "sigma-underflow": ("AccountingError", (
         "bound", "--kind", "shuffle", *REF_FLAGS, "--sigma", "1e-200", "--alpha", "10",
         "--epochs", "4")),
-    # sigma_eff**2 overflows in the sgm view of the params: an ArithmeticError
-    # that no check names
-    "sgm-sigma-eff-overflow": ("OverflowError", (
+    # S_g**2 underflows: the eps1 coefficient is 0 and the sgm noise-to-sensitivity
+    # ratio sigma_eff**2 = 1/(2*coefficient) overflows; rejected at construction
+    "sgm-sigma-eff-overflow": ("AccountingError", (
         "bound", "--kind", "sgm", *REF_FLAGS, "--sensitivity", "1e-300", "--alpha", "10",
         "--epochs", "4")),
+    # the same 0 coefficient would print eps_rdp 0.0, below the true positive bound
+    "fixed-last-sensitivity-underflow": ("AccountingError", (
+        "bound", "--kind", "fixed-last", *REF_FLAGS, "--sensitivity", "1e-300",
+        "--alpha", "10", "--epochs", "4")),
+    # K = 0 runs the family's own checks: shuffle needs lambda > 0 ...
+    "calibrate-convex-shuffle-k0": ("RegularityMismatch", (
+        "calibrate", "--kind", "shuffle", *REF_FLAGS, "--lambda", "0", "--epochs", "0",
+        "--target-eps", "1", "--delta", "1e-5", "--alpha", "2,8")),
+    # ... and every family needs alpha > 1
+    "sgm-alpha-below-one-k0": ("AccountingError", (
+        "bound", "--kind", "sgm", *REF_FLAGS, "--alpha", "0.5", "--epochs", "0")),
     # rounds up to an order with 1e300 moment terms
     "sgm-order-too-large": ("AccountingError", (
         "bound", "--kind", "sgm", *REF_FLAGS, "--alpha", "1e300", "--epochs", "4")),
@@ -248,11 +263,10 @@ def test_verify_suites_exit_zero(capsys):
     assert code == 0
 
 
-def test_env_var_alpha_grid(capsys, monkeypatch):
-    monkeypatch.setenv("ACCOUNTANT_ALPHA_GRID", "2,8")
+def test_alpha_flag_sets_calibrate_grid(capsys):
     code, out, _ = run(
         capsys, "calibrate", "--kind", "naive", *REF_FLAGS, "--epochs", "10",
-        "--target-eps", "3", "--delta", "1e-5",
+        "--target-eps", "3", "--delta", "1e-5", "--alpha", "2,8",
     )
     assert code == 0
     assert json.loads(out)["alpha_grid"] == [2.0, 8.0]
@@ -404,3 +418,79 @@ def test_bound_curve_and_calibrate_accept_the_same_kinds(capsys, kind):
     code, out, _ = run(capsys, *calibrate_argv)
     assert code == 0
     assert json.loads(out)["bound_kind"] == kind
+
+
+# Flag values for the fuzz below: finite, extreme, zero, negative, nan and inf.
+# Values are passed as --flag=value so that argparse reads "-inf" as a value.
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([
+        0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-12, 0.5,
+        1.0, 1.5, 1e12, 1e154, 1e300, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    ]),
+)
+
+
+def _maybe(ref, values):
+    """The reference value, or one time in eight a fuzzed one, so most runs get past
+    the first invalid flag."""
+    return st.tuples(st.integers(0, 7), values).map(lambda t: t[1] if t[0] == 0 else ref)
+
+
+def _float_list(ref):
+    return _maybe(ref, st.lists(EXTREME_FLOATS, min_size=1, max_size=2).map(
+        lambda xs: ",".join(map(str, xs))))
+
+
+# n and epochs stay small: samp-wo and shuffle cost grows with K*m by design
+PARAM_FLAGS = st.fixed_dictionaries({
+    "n": _maybe(50, st.integers(-2, 40)),
+    "b": _maybe(2, st.integers(-1, 41)),
+    "epochs": _maybe(3, st.integers(-1, 4)),
+    "eta": _maybe(0.02, EXTREME_FLOATS),
+    "sigma": _maybe(2.0, EXTREME_FLOATS),
+    "lambda": _maybe(1.0, EXTREME_FLOATS),
+    "beta": _maybe(4.0, EXTREME_FLOATS),
+    "sensitivity": _maybe(4.0, EXTREME_FLOATS),
+    "alpha": _float_list("10"),
+    "delta": _maybe(1e-5, EXTREME_FLOATS),
+})
+
+
+def _flags(values: dict) -> list[str]:
+    return [f"--{key}={value}" for key, value in values.items()]
+
+
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from([k.value for k in BoundKind]), PARAM_FLAGS,
+              st.integers(-1, 25)).map(
+        lambda t: ["bound", f"--kind={t[0]}", *_flags(t[1]), f"--j0={t[2]}"]),
+    st.tuples(st.sampled_from([k.value for k in BoundKind if k is not BoundKind.FIXED]),
+              st.sampled_from(["sigma", "epochs"]), PARAM_FLAGS,
+              _maybe(3.0, EXTREME_FLOATS)).map(
+        lambda t: ["calibrate", f"--kind={t[0]}", f"--solve={t[1]}", *_flags(t[2]),
+                   f"--target-eps={t[3]}"]),
+    st.tuples(_float_list("10"), _float_list("0.05"), _maybe(1e-5, EXTREME_FLOATS),
+              st.sampled_from([n.value for n in Neighboring])).map(
+        lambda t: ["convert", f"--alpha={t[0]}", f"--eps={t[1]}", f"--delta={t[2]}",
+                   f"--from={t[3]}"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=FUZZ_ARGV)
+def test_fuzzed_flag_values_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        return
+    record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+    for key, value in record.items():
+        if "eps" in key:
+            for eps in value if isinstance(value, list) else [value]:
+                assert math.isfinite(eps) and eps >= 0, (argv, key, value)

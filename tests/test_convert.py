@@ -19,7 +19,6 @@ from privdyn import (
     rdp_to_dp,
     translate_neighboring,
 )
-from privdyn.convert import ALPHA_GRID_ENV, alpha_grid_from_env
 
 
 def test_rdp_to_dp_single_point():
@@ -153,13 +152,6 @@ def test_default_alpha_grid_shape():
     assert DEFAULT_ALPHA_GRID[-2:] == (128.0, 256.0)
     assert 64.0 in DEFAULT_ALPHA_GRID
     assert all(a > 1 for a in DEFAULT_ALPHA_GRID)
-
-
-def test_alpha_grid_env_override(monkeypatch):
-    monkeypatch.setenv(ALPHA_GRID_ENV, "2,8,32")
-    assert alpha_grid_from_env() == (2.0, 8.0, 32.0)
-    monkeypatch.delenv(ALPHA_GRID_ENV)
-    assert alpha_grid_from_env() == DEFAULT_ALPHA_GRID
 
 
 from hypothesis import given, strategies as st

@@ -4,7 +4,6 @@ import pytest
 
 from privdyn import (
     AccountingError,
-    ConvexityClass,
     IndexOutOfRange,
     bound_convex_fixed,
     bound_naive_baseline,
@@ -15,7 +14,7 @@ from privdyn import (
 )
 from privdyn.dynamics import RegularityMismatch, fixed_bound_limit, naive_baseline_limit
 
-from helpers import LsiSequence, lsi_constant, recursion_coefficients
+from helpers import ConvexityClass, LsiSequence, lsi_constant, recursion_coefficients
 
 
 def test_lsi_constant_values(ref_params, ref_params_convex):

@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 from privdyn import (
     AccountingError,
     BatchCountTooSmall,
-    ConvexityClass,
     Neighboring,
     NonDividingBatch,
     NonPositive,
     StepsizeTooLarge,
     load_config,
     make_params,
-    multiplier_from_sigma,
     sigma_from_multiplier,
     validate,
     with_epochs,
@@ -28,7 +26,7 @@ def test_ref_params_derived_fields(ref_params):
     assert ref_params.r == pytest.approx(0.9604, abs=1e-15)
     assert ref_params.eps1_coeff == pytest.approx(0.02 * 16 / (4 * 4 * 4), rel=1e-15)
     assert ref_params.q == pytest.approx(0.04)
-    assert ref_params.regularity.convexity is ConvexityClass.STRONGLY_CONVEX
+    assert ref_params.strongly_convex
 
 
 def test_validate_is_idempotent(ref_params):
@@ -104,7 +102,8 @@ def test_sigma_from_multiplier_values():
 @pytest.mark.parametrize("mul", [0.5, 1.0, 5.0])
 def test_sigma_multiplier_round_trip(mul):
     sigma = sigma_from_multiplier(0.02, 2, 4, mul)
-    assert multiplier_from_sigma(0.02, 2, 4, sigma) == pytest.approx(mul, rel=1e-12)
+    # the inverse: sigma_mul = sigma*2*b / (sqrt(eta/2)*S_g)
+    assert sigma * 2 * 2 / (math.sqrt(0.02 / 2) * 4) == pytest.approx(mul, rel=1e-12)
 
 
 @given(
@@ -186,9 +185,12 @@ def test_non_finite_fields_rejected_at_construction(field, value):
         make_params(**fields)
 
 
-@pytest.mark.parametrize("field, value", [("sigma", 1e-200), ("sigma", 1e-160), ("s_g", 1e200)])
+@pytest.mark.parametrize("field, value", [
+    ("sigma", 1e-200), ("sigma", 1e-160), ("s_g", 1e200), ("s_g", 1e-300), ("s_g", 1e-154),
+])
 def test_params_float64_cannot_evaluate_rejected_at_construction(field, value):
-    # sigma**2 underflows to 0 (1e-200), eps1_coeff overflows (1e-160), S_g**2 overflows
+    # sigma**2 underflows to 0 (1e-200), eps1_coeff overflows (1e-160), S_g**2
+    # overflows (1e200); eps1_coeff underflows to 0 (1e-300) or is subnormal (1e-154)
     fields = dict(n=50, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
     fields[field] = value
     with pytest.raises(AccountingError, match="float64 cannot evaluate"):
