@@ -7,10 +7,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import baselines, dynamics, sampling
-from .convert import rdp_to_dp
+from .convert import _converted, rdp_to_dp
 from .params import AccountingError, AccountingParams, RdpPoint, with_epochs, with_sigma
 
 __all__ = [
@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+_SIGMA_BRACKET = (1e-6, 1e6)
+_EPOCH_CAP = 2**40
+
+
 class Unsatisfiable(AccountingError):
     """No noise scale inside the bracket meets the target."""
 
@@ -39,8 +43,9 @@ class Family:
     """One bound family at one order alpha.
 
     ``eps`` is the RDP bound at params.epochs; ``limit`` its K -> infinity
-    limit (inf for the families that grow linearly in K); ``whole_curve``,
-    when set, returns eps at K = 1..params.epochs in one pass.
+    limit (inf for the families that grow linearly in K); ``epoch_scan``,
+    when set, yields eps at K = 1..params.epochs from one pass and may end
+    early, after which every later epoch has the last value yielded.
 
     The entries call into the other layers through module attributes
     (``sampling.bound_shuffle``, not a captured function), so a wrapper
@@ -49,13 +54,14 @@ class Family:
 
     eps: Bound
     limit: Bound = lambda params, alpha: math.inf
-    whole_curve: Optional[Callable[[AccountingParams, float], list[float]]] = None
+    epoch_scan: Optional[Callable[[AccountingParams, float], Iterator[float]]] = None
 
     def curve(self, params: AccountingParams, alpha: float) -> list[float]:
         """eps at K = 1..params.epochs."""
-        if self.whole_curve is not None:
-            return self.whole_curve(params, alpha)
-        return [self.eps(with_epochs(params, k), alpha) for k in range(1, params.epochs + 1)]
+        if self.epoch_scan is None:
+            return [self.eps(with_epochs(params, k), alpha) for k in range(1, params.epochs + 1)]
+        eps = list(self.epoch_scan(params, alpha))
+        return eps + [eps[-1] if eps else 0.0] * (params.epochs - len(eps))
 
 
 def _fixed_partition(j0_of: Callable[[AccountingParams], int]) -> Family:
@@ -97,7 +103,7 @@ class BoundKind(enum.Enum):
     SAMP_WO = "samp-wo", Family(
         eps=lambda p, a: sampling.bound_samp_wo_replacement(p, a),
         limit=lambda p, a: sampling.samp_wo_limit(p, a),
-        whole_curve=lambda p, a: sampling.samp_wo_curve(p, a),
+        epoch_scan=lambda p, a: sampling.samp_wo_epochs(p, a),
     )
     FIXED_LAST_BATCH = "fixed-last", _LAST_BATCH
     IMPROVED_LAST = "improved-last", _LAST_BATCH
@@ -165,6 +171,20 @@ def _check_target(target_eps: float) -> None:
         raise AccountingError(f"target_eps must be positive and finite, got {target_eps!r}")
 
 
+def _ranked(points: Sequence[RdpPoint], log_term: float, target_eps: float) -> list[int]:
+    """Indices of the orders that leave room under the target, smallest eps per unit of room first.
+
+    An order's room is target - ln(1/delta)/(alpha-1); one with negative room
+    never meets the target, since eps >= 0.
+    """
+    keyed = []
+    for index, pt in enumerate(points):
+        room = target_eps - log_term / (pt.alpha - 1.0)
+        if room >= 0:
+            keyed.append((pt.eps / room if room > 0 else math.inf, index))
+    return [index for _, index in sorted(keyed)]
+
+
 def calibrate_noise(
     params: AccountingParams,
     alpha_grid: Sequence[float],
@@ -174,32 +194,71 @@ def calibrate_noise(
 ) -> float:
     """Smallest sigma in [1e-6, 1e6] whose converted eps meets the target.
 
-    Bisects in log space until the bracket is within a relative 1e-6 (at
-    most 200 midpoints). Every implemented bound is strictly decreasing in
-    sigma. Ties break toward larger sigma (the bisection keeps the feasible
-    endpoint). The incoming params.sigma is ignored.
+    The converted eps meets the target exactly when one order does, so the
+    answer is the smallest sigma_alpha, each order solved alone. The orders
+    are taken by their eps at sigma = 1e-6 per unit of room, which ranks
+    them by sigma_alpha exactly for the families that scale as 1/sigma^2.
+    An order that misses the target at the best sigma so far is skipped
+    after that one evaluation; any other is bisected in log space inside
+    [1e-6, best] to a relative 1e-10. Every bound decreases in sigma. The
+    incoming params.sigma is ignored.
     """
     _check_target(target_eps)
-    lo, hi = 1e-6, 1e6
-
-    def eps_at(sigma: float) -> float:
-        return converted_eps(with_sigma(params, sigma), alpha_grid, delta, kind)
-
-    if eps_at(lo) <= target_eps:
+    lo, hi = _SIGMA_BRACKET
+    family = kind.family
+    at_lo = with_sigma(params, lo)
+    points = [RdpPoint(alpha=a, eps=family.eps(at_lo, a)) for a in alpha_grid]
+    if rdp_to_dp(points, delta).eps <= target_eps:
         return lo
-    if eps_at(hi) > target_eps:
-        raise Unsatisfiable(
-            f"even sigma = {hi} gives eps > {target_eps} for {kind.value}"
-        )
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # sigma spans decades; bisect in log space
-        if eps_at(mid) <= target_eps:
-            hi = mid
-        else:
+    log_term = math.log(1.0 / delta)
+
+    def fits(at: AccountingParams, alpha: float) -> bool:
+        return _converted(alpha, family.eps(at, alpha), log_term) <= target_eps
+
+    best, at_best, found = hi, with_sigma(params, hi), False
+    for index in _ranked(points, log_term, target_eps):
+        alpha = points[index].alpha
+        if not fits(at_best, alpha):
+            continue
+        below, above, at_above = lo, best, at_best
+        while above - below > 1e-10 * above:
+            mid = math.sqrt(below * above)  # sigma spans decades; bisect in log space
+            at_mid = with_sigma(params, mid)
+            if fits(at_mid, alpha):
+                above, at_above = mid, at_mid
+            else:
+                below = mid
+        best, at_best, found = above, at_above, True
+    if not found:
+        raise Unsatisfiable(f"even sigma = {hi} gives eps > {target_eps} for {kind.value}")
+    return best
+
+
+def _last_fitting_epoch(fits_at: Callable[[int], bool], lo: int) -> int:
+    """Largest K that fits, given that K = lo fits: doubling over powers of two, then bisection."""
+    hi = 1 << lo.bit_length()  # the smallest power of two above lo
+    while lo < _EPOCH_CAP and fits_at(hi):
+        lo, hi = hi, 2 * hi
+    if lo >= _EPOCH_CAP:
+        raise AccountingError("epoch search exceeded 2^40 without crossing the target")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits_at(mid):
             lo = mid
-        if hi - lo <= 1e-6 * hi:
-            break
-    return hi
+        else:
+            hi = mid
+    return lo
+
+
+def _scan_epochs(scan: Iterator[float], fits_eps: Callable[[float], bool]) -> int:
+    """Largest K that fits, read from an epoch scan whose K = 1 value has been taken and fits."""
+    k = 1
+    for eps in scan:
+        if not fits_eps(eps):
+            return k
+        k += 1
+    # every epoch up to the cap fits, or the scan reached its fixed point and it fits
+    raise AccountingError("epoch search exceeded 2^40 without crossing the target")
 
 
 def max_epochs(
@@ -213,32 +272,49 @@ def max_epochs(
 
     Returns 0 when even one epoch exceeds the budget, and the MAXED_OUT
     sentinel when the bound's K -> infinity limit already satisfies it
-    (converging families admit unlimited epochs).
+    (converging families admit unlimited epochs). Otherwise the answer is
+    the largest K_alpha, each order solved alone: one evaluation at
+    best + 1 skips an order that cannot raise the best so far, and the
+    others get a doubling and bisection search of their own. A family with
+    an epoch scan instead reads each order's scan up to its first epoch
+    over the target, one pass per order.
     """
     _check_target(target_eps)
-
-    def eps_at(k: int) -> float:
-        return converted_eps(with_epochs(params, k), alpha_grid, delta, kind)
-
-    if eps_at(1) > target_eps:
+    family = kind.family
+    grid = list(alpha_grid)
+    if family.epoch_scan is not None:
+        # each order's pass gives K = 1 now and resumes after the limit check
+        scans = [family.epoch_scan(with_epochs(params, _EPOCH_CAP), a) for a in grid]
+        first = [next(scan, 0.0) for scan in scans]
+    else:
+        at_one = with_epochs(params, 1)
+        first = [family.eps(at_one, a) for a in grid]
+    points = [RdpPoint(alpha=a, eps=eps) for a, eps in zip(grid, first)]
+    if rdp_to_dp(points, delta).eps > target_eps:
         return 0
     limit_points = [
-        RdpPoint(alpha=a, eps=bound_limit(params, a, kind)) for a in alpha_grid
+        RdpPoint(alpha=a, eps=bound_limit(params, a, kind)) for a in grid
     ]
     finite = [p for p in limit_points if math.isfinite(p.eps)]
     if finite and rdp_to_dp(finite, delta).eps <= target_eps:
         return MAXED_OUT
-    # Exponential search for the first failing K, then binary search.
-    lo, hi = 1, 2
-    while eps_at(hi) <= target_eps:
-        lo = hi
-        hi *= 2
-        if hi > 2**40:
-            raise AccountingError("epoch search exceeded 2^40 without crossing the target")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps_at(mid) <= target_eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    log_term = math.log(1.0 / delta)
+    best, at_next = 0, None  # at_next: params at best + 1, once best >= 1
+    for index in _ranked(points, log_term, target_eps):
+        alpha = points[index].alpha
+
+        def fits_eps(eps: float) -> bool:
+            return _converted(alpha, eps, log_term) <= target_eps
+
+        if not fits_eps(points[index].eps):
+            continue
+        if family.epoch_scan is not None:
+            best = max(best, _scan_epochs(scans[index], fits_eps))
+            continue
+        if at_next is not None and not fits_eps(family.eps(at_next, alpha)):
+            continue
+        best = _last_fitting_epoch(
+            lambda k: fits_eps(family.eps(with_epochs(params, k), alpha)), best + 1
+        )
+        at_next = with_epochs(params, best + 1)
+    return best

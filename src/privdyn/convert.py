@@ -82,6 +82,15 @@ class LogisticConstants:
         return self.beta + self.lam
 
 
+def _converted(alpha: float, eps: float, log_term: float) -> float:
+    """eps + log_term/(alpha-1): the (eps, delta)-DP eps of one order, log_term = ln(1/delta)."""
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise AccountingError(f"Renyi order {alpha!r} must be finite and > 1")
+    if not eps >= 0:  # also rejects NaN; +inf marks an order without a bound
+        raise AccountingError(f"RDP eps {eps!r} must be >= 0")
+    return eps + log_term / (alpha - 1.0)
+
+
 def rdp_to_dp(
     points: Iterable[RdpPoint],
     delta: float,
@@ -100,11 +109,7 @@ def rdp_to_dp(
     best_alpha = math.inf
     log_term = math.log(1.0 / delta)
     for pt in pts:
-        if not (pt.alpha > 1 and math.isfinite(pt.alpha)):
-            raise AccountingError(f"Renyi order {pt.alpha!r} must be finite and > 1")
-        if not pt.eps >= 0:  # also rejects NaN; +inf marks an order without a bound
-            raise AccountingError(f"RDP eps {pt.eps!r} must be >= 0")
-        converted = pt.eps + log_term / (pt.alpha - 1.0)
+        converted = _converted(pt.alpha, pt.eps, log_term)
         if converted < best_eps or (converted == best_eps and pt.alpha < best_alpha):
             best_eps = converted
             best_alpha = pt.alpha

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-import numpy as np
-
 from .dynamics import _check_alpha, bound_strongly_convex_fixed
 from .params import AccountingError, AccountingParams, make_params
 from .sampling import bound_shuffle, mixture_bound
@@ -335,6 +333,8 @@ def monte_carlo_check(
     standard errors of the recursion's prediction. Deterministic given the
     seed; raises StatisticalMismatch on disagreement.
     """
+    import numpy as np  # the only numpy user: plain imports of privdyn skip it
+
     _validate_instance(instance)
     if samples < 10_000:
         raise AccountingError(f"need at least 10^4 samples, got {samples}")

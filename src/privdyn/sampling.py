@@ -32,7 +32,7 @@ __all__ = [
     "bound_shuffle",
     "bound_samp_wo_replacement",
     "samp_wo_log_steps",
-    "samp_wo_curve",
+    "samp_wo_epochs",
     "samp_wo_limit",
     "mixture_bound",
 ]
@@ -114,15 +114,18 @@ def bound_samp_wo_replacement(params: AccountingParams, alpha: float) -> float:
     return max(samp_wo_log_steps(params, alpha), default=0.0) / (alpha - 1.0)
 
 
-def samp_wo_curve(params: AccountingParams, alpha: float) -> list[float]:
-    """The samp-wo bound at K = 1..params.epochs from one run of the recursion."""
-    eps: list[float] = []
-    log_s = 0.0
+def samp_wo_epochs(params: AccountingParams, alpha: float) -> Iterator[float]:
+    """The samp-wo bound at K = 1, 2, ..., params.epochs from one run of the recursion.
+
+    Ends early when the recursion reaches its float64 fixed point: every
+    later epoch has the last value yielded (0.0 if none was).
+    """
+    step, log_s = 0, 0.0
     for step, log_s in enumerate(samp_wo_log_steps(params, alpha), start=1):
         if step % params.m == 0:
-            eps.append(log_s / (alpha - 1.0))
-    # after an early stop every later epoch ends at the last value
-    return eps + [log_s / (alpha - 1.0)] * (params.epochs - len(eps))
+            yield log_s / (alpha - 1.0)
+    if step % params.m:  # stopped inside an epoch, which ends at the fixed point
+        yield log_s / (alpha - 1.0)
 
 
 def samp_wo_limit(params: AccountingParams, alpha: float) -> float:

@@ -2,7 +2,8 @@
 
 They cross-check the library's closed forms from another angle (the
 per-iteration recursion, log-Sobolev constants, the mixture inequality, the
-SGM composition curve) and are not part of the accounting API.
+SGM composition curve, the whole-grid solvers) and are not part of the
+accounting API.
 """
 
 from __future__ import annotations
@@ -10,14 +11,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import mpmath
 
 from privdyn.baselines import SgmParams, sgm_order, sgm_rdp_per_step
+from privdyn.calibrate import (
+    MAXED_OUT,
+    BoundKind,
+    MaxedOut,
+    Unsatisfiable,
+    bound_limit,
+    converted_eps,
+)
+from privdyn.convert import rdp_to_dp
 from privdyn.dynamics import IndexOutOfRange, _check_alpha
 from privdyn.numerics import geometric_sum
-from privdyn.params import AccountingError, AccountingParams
+from privdyn.params import AccountingError, AccountingParams, RdpPoint, with_epochs, with_sigma
 from privdyn.sampling import mixture_bound
 
 
@@ -155,3 +165,69 @@ def sgm_epoch_approximation(params: AccountingParams, alpha: float) -> float:
     """Leading-term per-epoch approximation q * eps1 (documentation plots only)."""
     _check_alpha(alpha)
     return params.q * params.eps1(alpha)
+
+
+def reference_calibrate_noise(
+    params: AccountingParams,
+    alpha_grid: Sequence[float],
+    target_eps: float,
+    delta: float,
+    kind: BoundKind,
+) -> float:
+    """Smallest sigma in [1e-6, 1e6] meeting the target, by bisecting the whole grid.
+
+    Every probe converts all orders; log-space bisection stops when the
+    bracket is within a relative 1e-6 (at most 200 midpoints) and returns
+    its feasible end.
+    """
+    lo, hi = 1e-6, 1e6
+
+    def eps_at(sigma: float) -> float:
+        return converted_eps(with_sigma(params, sigma), alpha_grid, delta, kind)
+
+    if eps_at(lo) <= target_eps:
+        return lo
+    if eps_at(hi) > target_eps:
+        raise Unsatisfiable(f"even sigma = {hi} gives eps > {target_eps} for {kind.value}")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if eps_at(mid) <= target_eps:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-6 * hi:
+            break
+    return hi
+
+
+def reference_max_epochs(
+    params: AccountingParams,
+    alpha_grid: Sequence[float],
+    target_eps: float,
+    delta: float,
+    kind: BoundKind,
+) -> Union[int, MaxedOut]:
+    """Largest epoch count meeting the target, by a doubling and bisection search of the whole grid."""
+
+    def eps_at(k: int) -> float:
+        return converted_eps(with_epochs(params, k), alpha_grid, delta, kind)
+
+    if eps_at(1) > target_eps:
+        return 0
+    limits = [RdpPoint(alpha=a, eps=bound_limit(params, a, kind)) for a in alpha_grid]
+    finite = [p for p in limits if math.isfinite(p.eps)]
+    if finite and rdp_to_dp(finite, delta).eps <= target_eps:
+        return MAXED_OUT
+    lo, hi = 1, 2
+    while eps_at(hi) <= target_eps:
+        lo = hi
+        hi *= 2
+        if hi > 2**40:
+            raise AccountingError("epoch search exceeded 2^40 without crossing the target")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if eps_at(mid) <= target_eps:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -1,7 +1,10 @@
 import math
+import random
 
 import pytest
 
+from helpers import reference_calibrate_noise, reference_max_epochs
+from privdyn import sampling
 from privdyn import (
     DEFAULT_ALPHA_GRID,
     AccountingError,
@@ -15,6 +18,7 @@ from privdyn import (
     converted_eps,
     evaluate_bound,
     max_epochs,
+    make_params,
     with_epochs,
     with_sigma,
 )
@@ -138,7 +142,7 @@ def test_evaluate_bound_matches_direct_calls(ref_params):
 
 
 def test_bisection_budget(ref_params):
-    # the solver converges inside its 200-iteration budget at 1e-6 relative
+    # the per-order bisection meets the target on the full default grid
     sigma = calibrate_noise(
         ref_params, list(DEFAULT_ALPHA_GRID), target_eps=3.0, delta=1e-5,
         kind=BoundKind.NAIVE,
@@ -170,3 +174,85 @@ def test_solvers_reject_non_finite_or_zero_targets(ref_params, target):
         calibrate_noise(ref_params, GRID, target, 1e-5, BoundKind.NAIVE)
     with pytest.raises(AccountingError):
         max_epochs(ref_params, GRID, target, 1e-5, BoundKind.NAIVE)
+
+
+def test_max_epochs_samp_wo_reads_one_pass_per_order(ref_params, monkeypatch):
+    # each order's recursion runs once, up to its first epoch over the target
+    at_one = converted_eps(with_epochs(ref_params, 1), GRID, 1e-5, BoundKind.SAMP_WO)
+    points = [RdpPoint(alpha=a, eps=bound_limit(ref_params, a, BoundKind.SAMP_WO)) for a in GRID]
+    target = (at_one + rdp_to_dp(points, 1e-5).eps) / 2
+    calls = [0]
+    kernel = sampling.logsumexp
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(sampling, "logsumexp", counted)
+    k = max_epochs(ref_params, GRID, target, 1e-5, BoundKind.SAMP_WO)
+    assert isinstance(k, int) and k >= 1
+    assert calls[0] <= len(GRID) * (k + 1) * ref_params.m
+    assert k == reference_max_epochs(ref_params, GRID, target, 1e-5, BoundKind.SAMP_WO)
+    for alpha in GRID:
+        calls[0] = 0
+        k_alpha = max_epochs(ref_params, [alpha], target, 1e-5, BoundKind.SAMP_WO)
+        if isinstance(k_alpha, int):
+            assert calls[0] <= (k_alpha + 1) * ref_params.m
+            assert k_alpha <= k
+
+
+def _random_case(rng, kind):
+    """Small params, a grid and a target for one solver equivalence case."""
+    convex_ok = kind in (BoundKind.FIXED_LAST_BATCH, BoundKind.IMPROVED_LAST,
+                         BoundKind.IMPROVED_FIRST, BoundKind.SGM_COMPOSITION)
+    b = rng.choice((1, 2))
+    params = make_params(
+        n=b * rng.randint(2, 8), b=b, eta=rng.choice((0.01, 0.05, 0.2)),
+        epochs=rng.randint(1, 12), sigma=math.exp(rng.uniform(math.log(0.3), math.log(5.0))),
+        lam=0.0 if convex_ok and rng.random() < 0.25 else rng.uniform(0.25, 2.0),
+        beta=4.0, s_g=4.0,
+    )
+    grid = sorted(rng.sample(list(DEFAULT_ALPHA_GRID), rng.randint(1, 8)))
+    target = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+    return params, grid, target
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except AccountingError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_per_order_solvers_match_whole_grid_search(kind):
+    rng = random.Random(f"solvers:{kind.value}")
+    delta = 1e-5
+    epoch_results = set()
+    for _ in range(80):
+        params, grid, target = _random_case(rng, kind)
+        args = (params, grid, target, delta, kind)
+        ref = _outcome(reference_calibrate_noise, *args)
+        sigma = _outcome(calibrate_noise, *args)
+        if isinstance(ref, float):
+            assert sigma <= ref * (1 + 1e-9)
+            assert converted_eps(with_sigma(params, sigma), grid, delta, kind) <= target
+            if sigma > 1e-6:
+                below = converted_eps(with_sigma(params, sigma * (1 - 2e-6)), grid, delta, kind)
+                assert below > target
+        else:
+            assert sigma is ref
+        k = _outcome(max_epochs, *args)
+        assert k == _outcome(reference_max_epochs, *args)
+        epoch_results.add(k if k in (0, MAXED_OUT) else "finite")
+        # a target that every order meets at the lower edge of the bracket
+        edge = (params, grid, 1e18, delta, kind)
+        assert calibrate_noise(*edge) == reference_calibrate_noise(*edge) == 1e-6
+    assert "finite" in epoch_results
+
+
+@pytest.mark.parametrize("sigma, expected", [(1e3, 5304421478), (1e5, AccountingError)])
+def test_max_epochs_beyond_the_doubling_range_matches_reference(ref_params, sigma, expected):
+    # sgm grows linearly in K: at sigma = 1e5 every K up to 2^40 meets the target
+    args = (with_sigma(ref_params, sigma), [2.0, 8.0, 64.0], 20.0, 1e-5, BoundKind.SGM_COMPOSITION)
+    assert _outcome(max_epochs, *args) == _outcome(reference_max_epochs, *args) == expected

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,6 +275,14 @@ def test_alpha_flag_sets_calibrate_grid(capsys):
     assert json.loads(out)["alpha_grid"] == [2.0, 8.0]
 
 
+def test_import_does_not_load_numpy():
+    # only oracle.monte_carlo_check uses numpy, and it imports it itself
+    code = "import sys, privdyn, privdyn.cli; assert 'numpy' not in sys.modules"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_bound_deterministic_output(capsys):
     args = ("bound", "--kind", "samp-wo", *REF_FLAGS, "--alpha", "10", "--epochs", "40")
     _, out1, _ = run(capsys, *args)
@@ -371,7 +382,10 @@ README_FLAGS = [
 # The README's CLI examples; tests/golden holds their stdout from before the
 # bound-family registry replaced the per-command dispatch tables. bound.txt
 # was re-recorded when the mixture kernel moved its eps_rdp up by one ulp, to
-# at or above the 50-digit value 0.0154590461519436174.
+# at or above the 50-digit value 0.0154590461519436174. calibrate_sigma.txt
+# was re-recorded when each order got solved alone to a relative 1e-10: its
+# sigma moved down, toward the exact minimum, from PREVIOUS_GOLDEN_SIGMA.
+PREVIOUS_GOLDEN_SIGMA = 0.3175492905026391
 README_EXAMPLES = {
     "bound": ("bound", "--kind", "shuffle", *README_FLAGS, "--sigma", "2",
               "--alpha", "10", "--epochs", "40"),
@@ -394,6 +408,12 @@ def test_readme_examples_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *README_EXAMPLES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_golden_sigma_is_below_the_previous_one_and_meets_the_target():
+    record = json.loads((GOLDEN / "calibrate_sigma.txt").read_text())
+    assert record["sigma"] <= PREVIOUS_GOLDEN_SIGMA * (1 + 1e-9)
+    assert record["eps_dp_at_sigma"] <= record["target_eps"]
 
 
 @pytest.mark.parametrize("kind", [k.value for k in BoundKind])

@@ -1,9 +1,11 @@
-"""The mixture-kernel bounds against 40-digit mpmath references, sigma 1e-2 to 1e8.
+"""The bounds against 40-digit mpmath references, sigma 1e-2 to 1e8.
 
 Large sigma is the small-eps regime, where every mixture sum is within a
 rounding error of 1 and a float64 log-sum-exp that forms the sum before its
-logarithm loses all precision. Each float value must match its reference to
-a relative 1e-9, from above or below.
+logarithm loses all precision. A stepsize near 0 puts the contraction r
+within a rounding error of 1, where the geometric sums of the fixed bound
+cancel. Each float value must match its reference to a relative 1e-9, from
+above or below.
 """
 
 import math
@@ -11,7 +13,16 @@ import math
 import mpmath
 import pytest
 
-from privdyn import bound_samp_wo_replacement, make_params, samp_wo_limit, sgm_rdp_per_step
+from privdyn import (
+    bound_fixed,
+    bound_naive_baseline,
+    bound_samp_wo_replacement,
+    make_params,
+    mixing_diffusion_first_batch,
+    mixing_diffusion_last_batch,
+    samp_wo_limit,
+    sgm_rdp_per_step,
+)
 from privdyn.sampling import shuffle_avg_term
 
 SIGMAS = (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)
@@ -66,6 +77,39 @@ def mp_sgm(q, sigma_eff, order):
         return mpmath.log(total) / (order - 1)
 
 
+def mp_fixed(params, alpha, j0):
+    """The fixed-partition bound: composed head eps0(h)*G-ratio plus the eps0(m - j0) tail."""
+    with mpmath.workdps(DIGITS):
+        _, _, r, eps1 = _mp(params, alpha)
+        m, k = params.m, params.epochs
+        if params.lam == 0:
+            return eps1 * (k - 1) / m + eps1 / (m - j0)
+
+        def eps0(j):
+            return eps1 * r ** (j - 1) * (1 - r) / (1 - r**j)
+
+        h = m // 2
+        head = 0 if k <= 1 else eps0(h) * (1 - r ** ((k - 1) * (m - h))) / (1 - r ** (m - h))
+        return head + eps0(m - j0)
+
+
+def mp_naive(params, alpha):
+    with mpmath.workdps(DIGITS):
+        lam, eta = mpmath.mpf(params.lam), mpmath.mpf(params.eta)
+        scale = mpmath.mpf(alpha) * mpmath.mpf(params.s_g) ** 2 / (lam * mpmath.mpf(params.sigma) ** 2 * params.b**2)
+        return scale * (1 - mpmath.exp(-lam * eta * params.epochs / 2))
+
+
+def mp_mixing(params, alpha, last):
+    with mpmath.workdps(DIGITS):
+        _, _, _, eps1 = _mp(params, alpha)
+        lam, beta, eta = mpmath.mpf(params.lam), mpmath.mpf(params.beta), mpmath.mpf(params.eta)
+        decay = 1 - 2 * eta * beta * lam / (beta + lam)
+        slope = eps1 / (params.m - 1) * decay ** (mpmath.mpf(params.m) / 2)
+        k = params.epochs
+        return min(2 * k * eps1, slope * (k - 1) + eps1) if last else slope * k
+
+
 def ref_at(sigma, **overrides):
     fields = dict(n=50, b=2, eta=0.02, epochs=40, sigma=sigma, lam=1.0, beta=4.0, s_g=4.0)
     fields.update(overrides)
@@ -105,3 +149,29 @@ def test_sgm_per_step_matches_mpmath(sigma_eff):
     for q in (0.001, 0.04, 0.5):
         for order in (2, 10, 64, 256):
             assert_close(sgm_rdp_per_step(q, sigma_eff, order), mp_sgm(q, sigma_eff, order))
+
+
+# stepsize and strong convexity: the reference, r within 4e-6 of 1, and a
+# weakly convex loss; lam = 0 is the convex fixed bound
+REGULARITY = ((0.02, 1.0), (1e-6, 1.0), (0.02, 1e-3), (0.02, 0.0))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_fixed_matches_mpmath(sigma):
+    for eta, lam in REGULARITY:
+        for epochs in (1, 40, 10**6):
+            params = ref_at(sigma, eta=eta, lam=lam, epochs=epochs)
+            for alpha in (1.25, 10.0, 64.0):
+                for j0 in (0, params.m - 1):
+                    assert_close(bound_fixed(params, alpha, j0).eps, mp_fixed(params, alpha, j0))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_naive_and_mixing_diffusion_match_mpmath(sigma):
+    for eta, lam in REGULARITY[:3]:  # these families need lam > 0
+        for epochs in (1, 40, 10**6):
+            params = ref_at(sigma, eta=eta, lam=lam, epochs=epochs)
+            for alpha in (1.25, 10.0, 64.0):
+                assert_close(bound_naive_baseline(params, alpha), mp_naive(params, alpha))
+                assert_close(mixing_diffusion_first_batch(params, alpha), mp_mixing(params, alpha, False))
+                assert_close(mixing_diffusion_last_batch(params, alpha), mp_mixing(params, alpha, True))
