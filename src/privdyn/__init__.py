@@ -19,16 +19,13 @@ from .params import (
     with_sigma,
 )
 from .dynamics import (
-    FixedBatchBound,
+    HeadTail,
     IndexOutOfRange,
-    bound_convex_fixed,
     bound_fixed,
     bound_naive_baseline,
-    bound_strongly_convex_fixed,
     eps0_term,
 )
 from .sampling import (
-    ShuffleBound,
     WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
@@ -37,7 +34,6 @@ from .sampling import (
 )
 from .baselines import (
     NonIntegerOrder,
-    SgmParams,
     mixing_diffusion_first_batch,
     mixing_diffusion_last_batch,
     sgm_eps,

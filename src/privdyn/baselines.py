@@ -9,7 +9,6 @@ dynamics bounds are measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dynamics import _check_alpha, _require_strongly_convex, _require_two_batches
 from .numerics import contraction_pow, logsumexp
@@ -17,7 +16,6 @@ from .params import AccountingError, AccountingParams
 
 __all__ = [
     "NonIntegerOrder",
-    "SgmParams",
     "sgm_order",
     "sgm_rdp_per_step",
     "sgm_eps",
@@ -30,23 +28,10 @@ class NonIntegerOrder(AccountingError):
     """sgm_rdp_per_step needs an integer order alpha >= 2."""
 
 
-@dataclass(frozen=True, slots=True)
-class SgmParams:
-    """Subsampled-Gaussian view of the accounting inputs.
-
-    q = b/n, sigma_eff = sqrt(2*eta*sigma^2)/(eta*S_g/b) (per-step noise
-    std over per-step l2-sensitivity), steps = K*m.
-    """
-
-    q: float
-    sigma_eff: float
-    steps: int
-
-    @classmethod
-    def from_params(cls, params: AccountingParams) -> "SgmParams":
-        sens = params.eta * params.s_g / params.b
-        sigma_eff = math.sqrt(2.0 * params.eta * params.sigma**2) / sens
-        return cls(q=params.q, sigma_eff=sigma_eff, steps=params.steps)
+def _sigma_eff(params: AccountingParams) -> float:
+    """Per-step noise std over per-step l2-sensitivity: sqrt(2*eta*sigma^2)/(eta*S_g/b)."""
+    sens = params.eta * params.s_g / params.b
+    return math.sqrt(2.0 * params.eta * params.sigma**2) / sens
 
 
 def sgm_rdp_per_step(q: float, sigma_eff: float, alpha: int) -> float:
@@ -98,8 +83,7 @@ def sgm_eps(params: AccountingParams, alpha: float) -> float:
     _check_alpha(alpha)
     if params.epochs == 0:
         return 0.0
-    sgm = SgmParams.from_params(params)
-    return sgm.steps * sgm_rdp_per_step(sgm.q, sgm.sigma_eff, sgm_order(alpha))
+    return params.steps * sgm_rdp_per_step(params.q, _sigma_eff(params), sgm_order(alpha))
 
 
 def _mixing_slope(params: AccountingParams, alpha: float) -> float:

@@ -66,25 +66,14 @@ class Family:
 
 def _fixed_partition(j0_of: Callable[[AccountingParams], int]) -> Family:
     """The fixed-partition bound for the record in batch j0_of(params)."""
-
-    def limit(params: AccountingParams, alpha: float) -> float:
-        if params.strongly_convex:
-            return dynamics.fixed_bound_limit(params, alpha, j0_of(params))
-        return math.inf  # convex fixed bound grows linearly in K
-
-    return Family(eps=lambda p, a: dynamics.bound_fixed(p, a, j0_of(p)).eps, limit=limit)
+    return Family(
+        eps=lambda p, a: dynamics.bound_fixed(p, a, j0_of(p)).eps,
+        limit=lambda p, a: dynamics.fixed_bound_limit(p, a, j0_of(p)),
+    )
 
 
 def _j0_missing(params: AccountingParams) -> int:
     raise AccountingError("kind fixed needs the batch index j0 of the differing record (--j0)")
-
-
-def _shuffle_limit(params: AccountingParams, alpha: float) -> float:
-    # the last-batch limit minus its eps0(1) tail is the limit of the head term
-    head = dynamics.fixed_bound_limit(params, alpha, params.m - 1) - dynamics.eps0_term(
-        params, alpha, 1
-    )
-    return head + sampling.shuffle_avg_term(params, alpha)
 
 
 _LAST_BATCH = _fixed_partition(lambda p: p.m - 1)
@@ -98,7 +87,8 @@ class BoundKind(enum.Enum):
     """
 
     SHUFFLE = "shuffle", Family(
-        eps=lambda p, a: sampling.bound_shuffle(p, a).eps, limit=_shuffle_limit
+        eps=lambda p, a: sampling.bound_shuffle(p, a).eps,
+        limit=lambda p, a: sampling.shuffle_limit(p, a),
     )
     SAMP_WO = "samp-wo", Family(
         eps=lambda p, a: sampling.bound_samp_wo_replacement(p, a),

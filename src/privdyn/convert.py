@@ -16,7 +16,7 @@ from .params import (
     make_params,
     sigma_from_multiplier,
 )
-from .sampling import ShuffleBound, bound_shuffle
+from .sampling import bound_shuffle
 
 __all__ = [
     "EmptyInput",
@@ -210,5 +210,4 @@ def corollary_logistic_bound(
         l_feat=l_feat, grad_clip=grad_clip, sigma_mul=sigma_mul,
         truncate_last_batch=truncate_last_batch,
     )
-    bound: ShuffleBound = bound_shuffle(params, alpha)
-    return eps_norm + bound.eps
+    return eps_norm + bound_shuffle(params, alpha).eps

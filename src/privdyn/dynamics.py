@@ -26,10 +26,8 @@ from .params import AccountingError, AccountingParams, BatchCountTooSmall
 __all__ = [
     "IndexOutOfRange",
     "RegularityMismatch",
-    "FixedBatchBound",
+    "HeadTail",
     "eps0_term",
-    "bound_strongly_convex_fixed",
-    "bound_convex_fixed",
     "bound_fixed",
     "bound_naive_baseline",
     "fixed_bound_limit",
@@ -46,13 +44,16 @@ class RegularityMismatch(AccountingError):
 
 
 @dataclass(frozen=True, slots=True)
-class FixedBatchBound:
-    """RDP bound for records in batch j0 under a fixed partition."""
+class HeadTail:
+    """A partition-family RDP bound: the composed head of the earlier epochs
+    plus the last-epoch tail."""
 
-    params: AccountingParams
-    alpha: float
-    j0: int
-    eps: float
+    head: float
+    tail: float
+
+    @property
+    def eps(self) -> float:
+        return self.head + self.tail
 
 
 def _check_alpha(alpha: float) -> float:
@@ -89,14 +90,16 @@ def eps0_term(params: AccountingParams, alpha: float, j: int) -> float:
     return eps1 * contraction_pow(params.log_r, j - 1) / geometric_sum(params.log_r, j)
 
 
-def _first_term(params: AccountingParams, alpha: float) -> float:
-    """Composed multi-epoch head term of the strongly convex fixed bound.
+def _head(params: AccountingParams, alpha: float) -> float:
+    """Composed head of the fixed bound: the epochs before the last one.
 
-    eps0(h) * (1 - r^((K-1)(m-h))) / (1 - r^(m-h)) with h = floor(n/(2b));
-    defined as 0 for K = 1 (and K = 0).
+    Strongly convex: eps0(h) * (1 - r^((K-1)(m-h))) / (1 - r^(m-h)) with
+    h = floor(n/(2b)); convex: eps1 * (K-1)/m. Defined as 0 for K <= 1.
     """
     if params.epochs <= 1:
         return 0.0
+    if not params.strongly_convex:
+        return params.eps1(alpha) * (params.epochs - 1) / params.m
     m = params.m
     h = m // 2
     span = m - h
@@ -105,47 +108,27 @@ def _first_term(params: AccountingParams, alpha: float) -> float:
     return eps0_term(params, alpha, h) * num / den
 
 
-def bound_strongly_convex_fixed(
-    params: AccountingParams, alpha: float, j0: int
-) -> FixedBatchBound:
-    """Last-iterate RDP bound for records in batch j0, strongly convex loss.
-
-    eps = eps0(h) * (1 - r^((K-1)(m-h)))/(1 - r^(m-h)) + eps0(m - j0),
-    h = floor(n/(2b)); the first term is 0 at K <= 1.
-    """
-    _check_alpha(alpha)
-    _require_strongly_convex(params, "bound_strongly_convex_fixed")
-    _require_two_batches(params, "bound_strongly_convex_fixed")
-    if j0 < 0 or j0 >= params.m:
-        raise IndexOutOfRange(f"j0 = {j0} outside [0, {params.m - 1}]")
-    if params.epochs == 0:
-        return FixedBatchBound(params=params, alpha=alpha, j0=j0, eps=0.0)
-    eps = _first_term(params, alpha) + eps0_term(params, alpha, params.m - j0)
-    return FixedBatchBound(params=params, alpha=alpha, j0=j0, eps=eps)
+def _head_limit(params: AccountingParams, alpha: float) -> float:
+    """K -> infinity limit of the strongly convex head: eps0(h) / (1 - r^(m-h))."""
+    m = params.m
+    h = m // 2
+    return eps0_term(params, alpha, h) / -math.expm1((m - h) * params.log_r)
 
 
-def bound_convex_fixed(params: AccountingParams, alpha: float, j0: int) -> FixedBatchBound:
-    """Last-iterate RDP bound for records in batch j0, convex loss.
+def bound_fixed(params: AccountingParams, alpha: float, j0: int) -> HeadTail:
+    """Last-iterate RDP bound for records in batch j0 under a fixed partition.
 
-    eps = eps1 * (K-1)/m + eps1/(m - j0).
+    The head composes the earlier epochs (see ``_head``) and the tail is
+    eps0(m - j0). A strongly convex loss needs m >= 2; a convex one does not.
     """
     _check_alpha(alpha)
     if params.strongly_convex:
-        raise RegularityMismatch("bound_convex_fixed needs a convex loss (lambda = 0)")
+        _require_two_batches(params, "bound_fixed")
     if j0 < 0 or j0 >= params.m:
         raise IndexOutOfRange(f"j0 = {j0} outside [0, {params.m - 1}]")
     if params.epochs == 0:
-        return FixedBatchBound(params=params, alpha=alpha, j0=j0, eps=0.0)
-    eps1 = params.eps1(alpha)
-    eps = eps1 * (params.epochs - 1) / params.m + eps1 / (params.m - j0)
-    return FixedBatchBound(params=params, alpha=alpha, j0=j0, eps=eps)
-
-
-def bound_fixed(params: AccountingParams, alpha: float, j0: int) -> FixedBatchBound:
-    """Dispatch to the convex or strongly convex fixed-batch bound."""
-    if params.strongly_convex:
-        return bound_strongly_convex_fixed(params, alpha, j0)
-    return bound_convex_fixed(params, alpha, j0)
+        return HeadTail(head=0.0, tail=0.0)
+    return HeadTail(head=_head(params, alpha), tail=eps0_term(params, alpha, params.m - j0))
 
 
 def bound_naive_baseline(params: AccountingParams, alpha: float) -> float:
@@ -157,14 +140,12 @@ def bound_naive_baseline(params: AccountingParams, alpha: float) -> float:
 
 
 def fixed_bound_limit(params: AccountingParams, alpha: float, j0: int) -> float:
-    """K -> infinity limit of the strongly convex fixed bound."""
+    """K -> infinity limit of the fixed bound; inf for a convex loss, whose head grows linearly in K."""
     _check_alpha(alpha)
-    _require_strongly_convex(params, "fixed_bound_limit")
+    if not params.strongly_convex:
+        return math.inf
     _require_two_batches(params, "fixed_bound_limit")
-    m = params.m
-    h = m // 2
-    den = -math.expm1((m - h) * params.log_r)
-    return eps0_term(params, alpha, h) / den + eps0_term(params, alpha, m - j0)
+    return _head_limit(params, alpha) + eps0_term(params, alpha, params.m - j0)
 
 
 def naive_baseline_limit(params: AccountingParams, alpha: float) -> float:

@@ -16,12 +16,11 @@ differing record is in the first batch.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .dynamics import _check_alpha, bound_strongly_convex_fixed
+from .dynamics import _check_alpha, bound_fixed
 from .params import AccountingError, AccountingParams, make_params
 from .sampling import bound_shuffle, mixture_bound
 
@@ -246,17 +245,14 @@ class DominanceReport:
     def slack(self) -> float:
         return self.bound - self.exact
 
-    def to_dict(self, seed: Optional[int] = None) -> dict:
+    def to_dict(self) -> dict:
         return {
             "exact": self.exact,
             "bound": self.bound,
             "slack": self.slack,
             "params": {"kind": self.kind, "alpha": self.alpha},
-            "seed": seed,
+            "seed": None,
         }
-
-    def to_json(self, seed: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(seed), sort_keys=True)
 
 
 def verify_dominance(
@@ -278,7 +274,7 @@ def verify_dominance(
     params = instance.accounting_params(beta=beta)
     if bound_kind == "fixed":
         exact = exact_renyi(instance, alpha)
-        bound = bound_strongly_convex_fixed(params, alpha, instance.j0).eps
+        bound = bound_fixed(params, alpha, instance.j0).eps
     elif bound_kind == "shuffle":
         i0 = instance.differing_index
         gap = 0.0 if i0 is None else abs(instance.data[i0] - instance.data_alt[i0])
@@ -313,9 +309,6 @@ class MonteCarloReport:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 _Z_MAX = 5.0  # monte_carlo_check's tolerance, in standard errors
 
@@ -333,7 +326,12 @@ def monte_carlo_check(
     standard errors of the recursion's prediction. Deterministic given the
     seed; raises StatisticalMismatch on disagreement.
     """
-    import numpy as np  # the only numpy user: plain imports of privdyn skip it
+    try:
+        import numpy as np  # the only numpy user: plain imports of privdyn skip it
+    except ImportError:
+        raise AccountingError(
+            "the monte-carlo check needs numpy: install the privdyn[monte-carlo] extra"
+        ) from None
 
     _validate_instance(instance)
     if samples < 10_000:

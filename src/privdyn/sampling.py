@@ -13,12 +13,13 @@ Two batch-generation schemes on top of the fixed-batch dynamics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dynamics import (
+    HeadTail,
     _check_alpha,
-    _first_term,
+    _head,
+    _head_limit,
     _require_strongly_convex,
     _require_two_batches,
     eps0_term,
@@ -28,8 +29,8 @@ from .params import AccountingError, AccountingParams
 
 __all__ = [
     "WeightsNotNormalized",
-    "ShuffleBound",
     "bound_shuffle",
+    "shuffle_limit",
     "bound_samp_wo_replacement",
     "samp_wo_log_steps",
     "samp_wo_epochs",
@@ -40,20 +41,6 @@ __all__ = [
 
 class WeightsNotNormalized(AccountingError):
     """Mixture weights do not sum to 1."""
-
-
-@dataclass(frozen=True, slots=True)
-class ShuffleBound:
-    """Shuffle-and-partition RDP bound, split into its two summands."""
-
-    params: AccountingParams
-    alpha: float
-    first_term: float
-    avg_term: float
-
-    @property
-    def eps(self) -> float:
-        return self.first_term + self.avg_term
 
 
 def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
@@ -70,19 +57,22 @@ def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
     return logsumexp(-math.log(params.m), exponents) / scale
 
 
-def bound_shuffle(params: AccountingParams, alpha: float) -> ShuffleBound:
-    """Shuffle-and-partition bound: fixed-batch head plus a log-avg-exp tail."""
+def bound_shuffle(params: AccountingParams, alpha: float) -> HeadTail:
+    """Shuffle-and-partition bound: the fixed-partition head plus a log-avg-exp tail."""
     _check_alpha(alpha)
     _require_strongly_convex(params, "bound_shuffle")
     _require_two_batches(params, "bound_shuffle")
     if params.epochs == 0:
-        return ShuffleBound(params=params, alpha=alpha, first_term=0.0, avg_term=0.0)
-    return ShuffleBound(
-        params=params,
-        alpha=alpha,
-        first_term=_first_term(params, alpha),
-        avg_term=shuffle_avg_term(params, alpha),
-    )
+        return HeadTail(head=0.0, tail=0.0)
+    return HeadTail(head=_head(params, alpha), tail=shuffle_avg_term(params, alpha))
+
+
+def shuffle_limit(params: AccountingParams, alpha: float) -> float:
+    """K -> infinity limit of the shuffle bound: the head's limit plus the tail."""
+    _check_alpha(alpha)
+    _require_strongly_convex(params, "shuffle_limit")
+    _require_two_batches(params, "shuffle_limit")
+    return _head_limit(params, alpha) + shuffle_avg_term(params, alpha)
 
 
 def samp_wo_log_steps(params: AccountingParams, alpha: float) -> Iterator[float]:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 
-from privdyn.baselines import SgmParams, sgm_order, sgm_rdp_per_step
+from privdyn.baselines import _sigma_eff, sgm_order, sgm_rdp_per_step
 from privdyn.calibrate import (
     MAXED_OUT,
     BoundKind,
@@ -153,9 +153,8 @@ class RdpCurve:
 
 def sgm_composition(params: AccountingParams, alpha: float) -> RdpCurve:
     """SGM composition curve: eps(k) = k*m*per_step for k = 1..params.epochs."""
-    sgm = SgmParams.from_params(params)
     _check_alpha(alpha)
-    per_step = sgm_rdp_per_step(sgm.q, sgm.sigma_eff, sgm_order(alpha))
+    per_step = sgm_rdp_per_step(params.q, _sigma_eff(params), sgm_order(alpha))
     per_epoch = params.m * per_step
     points = tuple((k, k * per_epoch) for k in range(1, params.epochs + 1))
     return RdpCurve(alpha=float(alpha), points=points)

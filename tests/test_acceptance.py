@@ -4,6 +4,7 @@ evaluations (mpmath) of the closed forms; the SGM criterion re-runs its
 high-precision oracle in place.
 """
 
+import json
 import math
 import time
 
@@ -17,7 +18,7 @@ from privdyn import (
     RdpPoint,
     bound_naive_baseline,
     bound_shuffle,
-    bound_strongly_convex_fixed,
+    bound_fixed,
     calibrate_noise,
     converted_eps,
     corollary_logistic_bound,
@@ -75,7 +76,7 @@ def test_criterion_01_oracle_tightness():
         instance = make_instance(params, j0=0)
         for alpha in (2.0, 10.0, 30.0):
             exact = exact_renyi(instance, alpha)
-            bound = bound_strongly_convex_fixed(params, alpha, 0).eps
+            bound = bound_fixed(params, alpha, 0).eps
             assert abs(bound - exact) <= 1e-9 * bound
 
 
@@ -105,17 +106,15 @@ def test_criterion_03_recursion_and_continuity():
                 eps0_term(convex, 10, j), rel=1e-3
             )
         for j0 in (0, 12, 24):
-            from privdyn import bound_convex_fixed
-
-            assert bound_strongly_convex_fixed(near, 10, j0).eps == pytest.approx(
-                bound_convex_fixed(convex, 10, j0).eps, rel=1e-3
+            assert bound_fixed(near, 10, j0).eps == pytest.approx(
+                bound_fixed(convex, 10, j0).eps, rel=1e-3
             )
 
 
 def test_criterion_04_convergence_vs_linear_baselines():
     with criterion("AC-4 converging last-batch bound vs linear baselines", seconds=1.0):
-        eps200 = bound_strongly_convex_fixed(ref_at(200), 30, 24).eps
-        eps400 = bound_strongly_convex_fixed(ref_at(400), 30, 24).eps
+        eps200 = bound_fixed(ref_at(200), 30, 24).eps
+        eps400 = bound_fixed(ref_at(400), 30, 24).eps
         assert abs(eps400 - eps200) < 1e-6
         # limit 0.15*(eps0(12)/eps1/(1-r^13) + 1), 60-digit evaluation 0.17425924657600
         assert eps400 == pytest.approx(0.1743, abs=1e-3)
@@ -155,7 +154,7 @@ def test_criterion_06_shuffle_crossover():
         assert bound_shuffle(params, 10).eps < sgm_eps(params, 10)
         for k in range(1, 81):
             p = ref_at(k)
-            assert bound_shuffle(p, 10).eps <= bound_strongly_convex_fixed(p, 10, 24).eps * (1 + 1e-12)
+            assert bound_shuffle(p, 10).eps <= bound_fixed(p, 10, 24).eps * (1 + 1e-12)
 
 
 def test_criterion_07_samp_wo_recursion():
@@ -221,4 +220,4 @@ def test_criterion_10_monte_carlo():
         assert abs(first.mean_z) <= 5
         assert abs(first.variance_z) <= 5
         second = monte_carlo_check(instance, samples=100_000, seed=20240, alt=True)
-        assert first.to_json() == second.to_json()
+        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(second.to_dict(), sort_keys=True)

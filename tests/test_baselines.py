@@ -6,15 +6,14 @@ import pytest
 from privdyn import (
     AccountingError,
     NonIntegerOrder,
-    SgmParams,
     mixing_diffusion_first_batch,
     mixing_diffusion_last_batch,
     sgm_eps,
     sgm_rdp_per_step,
     with_epochs,
 )
-from privdyn.baselines import sgm_order
-from privdyn.dynamics import bound_strongly_convex_fixed
+from privdyn.baselines import _sigma_eff, sgm_order
+from privdyn.dynamics import bound_fixed
 
 from helpers import sgm_composition, sgm_epoch_approximation
 
@@ -36,10 +35,9 @@ def sgm_moment_sum_highprec(q, sigma_eff, alpha, dps=60):
 
 
 def test_sgm_params_from_ref_params(ref_params):
-    sgm = SgmParams.from_params(ref_params)
-    assert sgm.q == pytest.approx(0.04, rel=1e-15)
-    assert sgm.sigma_eff == pytest.approx(10.0, rel=1e-12)
-    assert sgm.steps == 1000
+    assert ref_params.q == pytest.approx(0.04, rel=1e-15)
+    assert _sigma_eff(ref_params) == pytest.approx(10.0, rel=1e-12)
+    assert ref_params.steps == 1000
 
 
 def test_sgm_per_step_full_batch_collapses_to_gaussian():
@@ -152,13 +150,13 @@ def test_mixing_diffusion_values(ref_params):
 def test_mixing_diffusion_same_order_as_dynamics_at_k1(ref_params):
     p = with_epochs(ref_params, 1)
     mixing = mixing_diffusion_first_batch(p, 30)
-    dyn = bound_strongly_convex_fixed(p, 30, 0).eps
+    dyn = bound_fixed(p, 30, 0).eps
     ratio = mixing / dyn
     assert 1 / 3 < ratio < 3
     # the converging dynamics bound wins from K = 10 onward
     for k in (10, 15, 25):
         pk = with_epochs(ref_params, k)
-        assert bound_strongly_convex_fixed(pk, 30, 0).eps < mixing_diffusion_first_batch(pk, 30)
+        assert bound_fixed(pk, 30, 0).eps < mixing_diffusion_first_batch(pk, 30)
 
 
 def test_mixing_diffusion_nondecreasing_in_k(ref_params):

@@ -105,7 +105,7 @@ def test_evaluate_bound_matches_direct_calls(ref_params):
         bound_naive_baseline,
         bound_samp_wo_replacement,
         bound_shuffle,
-        bound_strongly_convex_fixed,
+        bound_fixed,
         mixing_diffusion_first_batch,
         mixing_diffusion_last_batch,
         sgm_eps,
@@ -115,10 +115,10 @@ def test_evaluate_bound_matches_direct_calls(ref_params):
     direct = {
         BoundKind.SHUFFLE: lambda p, a: bound_shuffle(p, a).eps,
         BoundKind.SAMP_WO: bound_samp_wo_replacement,
-        BoundKind.FIXED_LAST_BATCH: lambda p, a: bound_strongly_convex_fixed(p, a, 24).eps,
-        BoundKind.IMPROVED_LAST: lambda p, a: bound_strongly_convex_fixed(p, a, 24).eps,
-        BoundKind.IMPROVED_FIRST: lambda p, a: bound_strongly_convex_fixed(p, a, 0).eps,
-        BoundKind.FIXED: lambda p, a: bound_strongly_convex_fixed(p, a, j0).eps,
+        BoundKind.FIXED_LAST_BATCH: lambda p, a: bound_fixed(p, a, 24).eps,
+        BoundKind.IMPROVED_LAST: lambda p, a: bound_fixed(p, a, 24).eps,
+        BoundKind.IMPROVED_FIRST: lambda p, a: bound_fixed(p, a, 0).eps,
+        BoundKind.FIXED: lambda p, a: bound_fixed(p, a, j0).eps,
         BoundKind.SGM_COMPOSITION: sgm_eps,
         BoundKind.NAIVE: bound_naive_baseline,
         BoundKind.MIXING_DIFFUSION_FIRST: mixing_diffusion_first_batch,

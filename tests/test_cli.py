@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privdyn import BoundKind, Neighboring, bound_shuffle, bound_strongly_convex_fixed, rdp_to_dp, RdpPoint
+from privdyn import BoundKind, Neighboring, bound_fixed, bound_shuffle, rdp_to_dp, RdpPoint
 from privdyn.cli import main
 
 REF_FLAGS = [
@@ -51,7 +51,7 @@ def test_bound_with_delta_adds_conversion(capsys, ref_params):
     )
     record = json.loads(out)
     points = [
-        RdpPoint(alpha=a, eps=bound_strongly_convex_fixed(ref_params, a, 24).eps)
+        RdpPoint(alpha=a, eps=bound_fixed(ref_params, a, 24).eps)
         for a in (10, 20, 30)
     ]
     expected = rdp_to_dp(points, 1e-5)
@@ -275,12 +275,51 @@ def test_alpha_flag_sets_calibrate_grid(capsys):
     assert json.loads(out)["alpha_grid"] == [2.0, 8.0]
 
 
-def test_import_does_not_load_numpy():
-    # only oracle.monte_carlo_check uses numpy, and it imports it itself
-    code = "import sys, privdyn, privdyn.cli; assert 'numpy' not in sys.modules"
+def run_python(code):
+    """Run code in a fresh interpreter that imports privdyn from this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_import_does_not_load_numpy():
+    # only oracle.monte_carlo_check uses numpy, and it imports it itself
+    done = run_python("import sys, privdyn, privdyn.cli; assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_monte_carlo_without_numpy_exits_2():
+    # numpy is the optional monte-carlo extra; a None entry makes its import fail
+    done = run_python(
+        "import sys; sys.modules['numpy'] = None; from privdyn.cli import main; "
+        "sys.exit(main(['verify', '--suite', 'monte-carlo', '--samples', '10000']))"
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("AccountingError:") and "privdyn[monte-carlo]" in done.stderr
+
+
+def test_public_surface():
+    # a fresh interpreter: importing privdyn.cli here would add "cli"
+    done = run_python("import privdyn; print(*sorted(n for n in vars(privdyn) if n[0] != '_'))")
+    assert done.stdout.split() == [
+        "AccountingError", "AccountingParams", "BatchCountTooSmall", "BoundKind",
+        "DEFAULT_ALPHA_GRID", "DominanceViolated", "DpGuarantee", "EmptyInput",
+        "GaussianLaw", "HeadTail", "IndexOutOfRange", "InvalidDelta", "LogisticConstants",
+        "MAXED_OUT", "MaxedOut", "Neighboring", "NonDividingBatch", "NonIntegerOrder",
+        "NonPositive", "OracleInstance", "RdpPoint", "SensitivityViolated",
+        "StatisticalMismatch", "StepsizeTooLarge", "Unsatisfiable", "WeightsNotNormalized",
+        "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
+        "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
+        "convert", "converted_eps", "corollary_logistic_bound", "dynamics", "eps0_term",
+        "evaluate_bound", "exact_renyi", "gaussian_law", "load_config", "logistic_constants",
+        "logistic_params", "make_instance", "make_params", "max_epochs",
+        "mixing_diffusion_first_batch", "mixing_diffusion_last_batch", "mixture_bound",
+        "monte_carlo_check", "numerics", "oracle", "params", "rdp_to_dp", "samp_wo_limit",
+        "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",
+        "translate_neighboring", "validate", "verify_dominance", "with_epochs", "with_sigma",
+    ]
 
 
 def test_bound_deterministic_output(capsys):
@@ -303,7 +342,7 @@ def test_bound_kind_fixed_needs_j0(capsys, ref_params):
     assert code == 0
     record = json.loads(out)
     assert record["eps_rdp"] == pytest.approx(
-        bound_strongly_convex_fixed(ref_params, 10, 12).eps, rel=1e-15
+        bound_fixed(ref_params, 10, 12).eps, rel=1e-15
     )
 
 

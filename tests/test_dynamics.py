@@ -5,9 +5,8 @@ import pytest
 from privdyn import (
     AccountingError,
     IndexOutOfRange,
-    bound_convex_fixed,
+    bound_fixed,
     bound_naive_baseline,
-    bound_strongly_convex_fixed,
     eps0_term,
     make_params,
     with_epochs,
@@ -85,17 +84,17 @@ def test_recursion_reproduces_closed_form(ref_params, ref_params_convex, convex)
 
 def test_strongly_convex_bound_examples(ref_params):
     one_epoch = with_epochs(ref_params, 1)
-    assert bound_strongly_convex_fixed(one_epoch, 10, 24).eps == pytest.approx(0.05, rel=1e-14)
+    assert bound_fixed(one_epoch, 10, 24).eps == pytest.approx(0.05, rel=1e-14)
     # K -> infinity limit at alpha=10, j0=24, frozen from 60-digit evaluation
     big = with_epochs(ref_params, 5000)
-    assert bound_strongly_convex_fixed(big, 10, 24).eps == pytest.approx(
+    assert bound_fixed(big, 10, 24).eps == pytest.approx(
         0.05808641552533266, rel=1e-9
     )
     assert fixed_bound_limit(ref_params, 10, 24) == pytest.approx(0.05808641552533266, rel=1e-12)
 
 
 def test_strongly_convex_bound_monotone_in_k_and_j0(ref_params):
-    values = [bound_strongly_convex_fixed(with_epochs(ref_params, k), 30, 24).eps for k in range(1, 60)]
+    values = [bound_fixed(with_epochs(ref_params, k), 30, 24).eps for k in range(1, 60)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     # convergence rate: increments bounded by eps0(h) * r^((K-1)(m-h))
     h = ref_params.m // 2
@@ -105,26 +104,22 @@ def test_strongly_convex_bound_monotone_in_k_and_j0(ref_params):
         # the increment meets the cap with equality analytically; allow for
         # cancellation noise in the subtraction
         assert gap <= cap * (1 + 1e-6) + 1e-15
-    by_j0 = [bound_strongly_convex_fixed(ref_params, 30, j0).eps for j0 in range(ref_params.m)]
+    by_j0 = [bound_fixed(ref_params, 30, j0).eps for j0 in range(ref_params.m)]
     assert all(b >= a for a, b in zip(by_j0, by_j0[1:]))
 
 
 def test_convex_bound_examples(ref_params_convex):
-    assert bound_convex_fixed(with_epochs(ref_params_convex, 1), 10, 0).eps == pytest.approx(0.002, rel=1e-14)
-    assert bound_convex_fixed(with_epochs(ref_params_convex, 2), 10, 24).eps == pytest.approx(
+    assert bound_fixed(with_epochs(ref_params_convex, 1), 10, 0).eps == pytest.approx(0.002, rel=1e-14)
+    assert bound_fixed(with_epochs(ref_params_convex, 2), 10, 24).eps == pytest.approx(
         0.052, rel=1e-12
     )
-    with pytest.raises(RegularityMismatch):
-        bound_convex_fixed(
-            make_params(n=50, b=2, eta=0.02, epochs=1, sigma=2, lam=1, beta=4, s_g=4), 10, 0
-        )
 
 
 def test_convex_bound_b1_single_epoch_matches_iteration_amplification():
     p = make_params(n=8, b=1, eta=0.02, epochs=1, sigma=2.0, lam=0.0, beta=4.0, s_g=4.0)
     eps1 = p.eps1(10)
     for j0 in range(p.n):
-        assert bound_convex_fixed(p, 10, j0).eps == pytest.approx(eps1 / (p.n - j0), rel=1e-12)
+        assert bound_fixed(p, 10, j0).eps == pytest.approx(eps1 / (p.n - j0), rel=1e-12)
 
 
 def test_naive_baseline_values(ref_params):
@@ -160,7 +155,7 @@ def test_matches_plotted_first_batch_curve(ref_params):
     for alpha in (10, 20, 30):
         for k in (2, 5, 10, 25):
             reference = plotted_first_batch_reference(k, alpha, 1, 0.02, 4, 2, 50, 2)
-            ours = bound_strongly_convex_fixed(with_epochs(ref_params, k), alpha, 0).eps
+            ours = bound_fixed(with_epochs(ref_params, k), alpha, 0).eps
             assert ours == pytest.approx(reference, rel=1e-12), (alpha, k)
 
 
@@ -170,7 +165,7 @@ def test_last_batch_curve_never_hits_composition_cap(ref_params):
     for alpha in (10, 20, 30):
         for k in range(1, 26):
             p = with_epochs(ref_params, k)
-            eps = bound_strongly_convex_fixed(p, alpha, p.m - 1).eps
+            eps = bound_fixed(p, alpha, p.m - 1).eps
             assert eps <= 2 * k * p.eps1(alpha) * (1 + 1e-12)
 
 
@@ -193,13 +188,11 @@ def test_lambda_to_zero_continuity():
                 recursion_coefficients(convex, 10, k, j, in_batch=False).multiplier, rel=tol
             )
         for j0 in (0, 12, 24):
-            assert bound_strongly_convex_fixed(near, 10, j0).eps == pytest.approx(
-                bound_convex_fixed(convex, 10, j0).eps, rel=tol
+            assert bound_fixed(near, 10, j0).eps == pytest.approx(
+                bound_fixed(convex, 10, j0).eps, rel=tol
             )
 
 
 def test_strongly_convex_requires_lambda(ref_params_convex):
-    with pytest.raises(RegularityMismatch):
-        bound_strongly_convex_fixed(ref_params_convex, 10, 0)
     with pytest.raises(RegularityMismatch):
         bound_naive_baseline(ref_params_convex, 10)

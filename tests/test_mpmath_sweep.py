@@ -1,4 +1,4 @@
-"""The bounds against 40-digit mpmath references, sigma 1e-2 to 1e8.
+"""The bounds and their limits against 40-digit mpmath references, sigma 1e-2 to 1e8.
 
 Large sigma is the small-eps regime, where every mixture sum is within a
 rounding error of 1 and a float64 log-sum-exp that forms the sum before its
@@ -14,7 +14,9 @@ import mpmath
 import pytest
 
 from privdyn import (
+    BoundKind,
     bound_fixed,
+    bound_limit,
     bound_naive_baseline,
     bound_samp_wo_replacement,
     make_params,
@@ -23,6 +25,7 @@ from privdyn import (
     samp_wo_limit,
     sgm_rdp_per_step,
 )
+from privdyn.dynamics import fixed_bound_limit
 from privdyn.sampling import shuffle_avg_term
 
 SIGMAS = (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)
@@ -77,6 +80,13 @@ def mp_sgm(q, sigma_eff, order):
         return mpmath.log(total) / (order - 1)
 
 
+def mp_eps0(params, alpha, j):
+    """The strongly convex single-epoch term eps1 * r^(j-1) * (1-r)/(1-r^j)."""
+    with mpmath.workdps(DIGITS):
+        _, _, r, eps1 = _mp(params, alpha)
+        return eps1 * r ** (j - 1) * (1 - r) / (1 - r**j)
+
+
 def mp_fixed(params, alpha, j0):
     """The fixed-partition bound: composed head eps0(h)*G-ratio plus the eps0(m - j0) tail."""
     with mpmath.workdps(DIGITS):
@@ -84,13 +94,30 @@ def mp_fixed(params, alpha, j0):
         m, k = params.m, params.epochs
         if params.lam == 0:
             return eps1 * (k - 1) / m + eps1 / (m - j0)
-
-        def eps0(j):
-            return eps1 * r ** (j - 1) * (1 - r) / (1 - r**j)
-
         h = m // 2
-        head = 0 if k <= 1 else eps0(h) * (1 - r ** ((k - 1) * (m - h))) / (1 - r ** (m - h))
-        return head + eps0(m - j0)
+        g_ratio = (1 - r ** ((k - 1) * (m - h))) / (1 - r ** (m - h))
+        head = 0 if k <= 1 else mp_eps0(params, alpha, h) * g_ratio
+        return head + mp_eps0(params, alpha, m - j0)
+
+
+def mp_head_limit(params, alpha):
+    """K -> infinity limit of the strongly convex head: eps0(h)/(1 - r^(m-h))."""
+    with mpmath.workdps(DIGITS):
+        _, _, r, _ = _mp(params, alpha)
+        h = params.m // 2
+        return mp_eps0(params, alpha, h) / (1 - r ** (params.m - h))
+
+
+def mp_fixed_limit(params, alpha, j0):
+    if params.lam == 0:
+        return mpmath.inf  # the convex head grows linearly in K
+    with mpmath.workdps(DIGITS):
+        return mp_head_limit(params, alpha) + mp_eps0(params, alpha, params.m - j0)
+
+
+def mp_shuffle_limit(params, alpha):
+    with mpmath.workdps(DIGITS):
+        return mp_head_limit(params, alpha) + mp_shuffle_tail(params, alpha)
 
 
 def mp_naive(params, alpha):
@@ -129,9 +156,11 @@ def test_shuffle_tail_matches_mpmath(sigma):
     for alpha in (1.25, 10.0, 64.0):
         params = ref_at(sigma)
         assert_close(shuffle_avg_term(params, alpha), mp_shuffle_tail(params, alpha))
+        assert_close(bound_limit(params, alpha, BoundKind.SHUFFLE), mp_shuffle_limit(params, alpha))
     # m = 2000: the tail was negative (-1.8e-16) at sigma = 1e6 before the kernel
     params = ref_at(sigma, n=2000, b=1, eta=0.01, epochs=1)
     assert_close(shuffle_avg_term(params, 1.25), mp_shuffle_tail(params, 1.25))
+    assert_close(bound_limit(params, 1.25, BoundKind.SHUFFLE), mp_shuffle_limit(params, 1.25))
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
@@ -164,6 +193,8 @@ def test_fixed_matches_mpmath(sigma):
             for alpha in (1.25, 10.0, 64.0):
                 for j0 in (0, params.m - 1):
                     assert_close(bound_fixed(params, alpha, j0).eps, mp_fixed(params, alpha, j0))
+                    if epochs == 1:  # the limit does not depend on K
+                        assert_close(fixed_bound_limit(params, alpha, j0), mp_fixed_limit(params, alpha, j0))
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)

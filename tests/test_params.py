@@ -45,7 +45,7 @@ def test_stepsize_too_large():
 def test_batch_count_too_small():
     from privdyn import (
         bound_shuffle,
-        bound_strongly_convex_fixed,
+        bound_fixed,
         mixing_diffusion_first_batch,
         mixing_diffusion_last_batch,
     )
@@ -57,7 +57,7 @@ def test_batch_count_too_small():
     )
     assert p.m == 1
     with pytest.raises(BatchCountTooSmall):
-        bound_strongly_convex_fixed(p, 10, 0)
+        bound_fixed(p, 10, 0)
     with pytest.raises(BatchCountTooSmall):
         bound_shuffle(p, 10)
     # the mixing-and-diffusion slope divides by m - 1

@@ -8,7 +8,7 @@ from privdyn import (
     WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
-    bound_strongly_convex_fixed,
+    bound_fixed,
     eps0_term,
     make_params,
     mixture_bound,
@@ -37,8 +37,8 @@ def test_shuffle_small_example():
     bound = bound_shuffle(p, 2)
     # avg of exp(0.01) and exp(0.0048990...), logged; frozen from 60-digit evaluation
     assert bound.eps == pytest.approx(0.007452752623358494, rel=1e-10)
-    assert bound.first_term == 0.0
-    assert bound.eps == bound.first_term + bound.avg_term
+    assert bound.head == 0.0
+    assert bound.eps == bound.head + bound.tail
 
 
 def test_shuffle_average_between_extremes():
@@ -47,8 +47,8 @@ def test_shuffle_average_between_extremes():
     p = make_params(n=4, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1e-12, beta=4.0, s_g=4.0)
     bound = bound_shuffle(p, 2)
     lo, hi = eps0_term(p, 2, 2), eps0_term(p, 2, 1)
-    assert lo <= bound.avg_term <= hi
-    assert bound.avg_term == pytest.approx((lo + hi) / 2, rel=1e-3)
+    assert lo <= bound.tail <= hi
+    assert bound.tail == pytest.approx((lo + hi) / 2, rel=1e-3)
 
 
 def test_shuffle_sandwiched_by_fixed_bounds(ref_params):
@@ -56,11 +56,11 @@ def test_shuffle_sandwiched_by_fixed_bounds(ref_params):
         p = with_epochs(ref_params, epochs)
         for alpha in (10.0, 20.0, 30.0):
             sh = bound_shuffle(p, alpha)
-            last = bound_strongly_convex_fixed(p, alpha, p.m - 1).eps
-            first = bound_strongly_convex_fixed(p, alpha, 0).eps
+            last = bound_fixed(p, alpha, p.m - 1).eps
+            first = bound_fixed(p, alpha, 0).eps
             assert sh.eps <= last * (1 + 1e-12)
             assert sh.eps >= first * (1 - 1e-12)
-            assert sh.avg_term <= eps0_term(p, alpha, 1) * (1 + 1e-12)
+            assert sh.tail <= eps0_term(p, alpha, 1) * (1 + 1e-12)
 
 
 def test_samp_wo_one_step():
