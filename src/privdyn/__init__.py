@@ -67,11 +67,9 @@ from .oracle import (
     GaussianLaw,
     OracleInstance,
     SensitivityViolated,
-    StatisticalMismatch,
     exact_renyi,
     gaussian_law,
     make_instance,
-    monte_carlo_check,
     verify_dominance,
 )
 

@@ -76,13 +76,17 @@ def _require(merged: dict, *keys: str) -> None:
         raise AccountingError(f"missing required flag(s): {', '.join('--' + k for k in missing)}")
 
 
+def _logistic(merged: dict) -> bool:
+    """Whether the options take the logistic-loss derivation of beta, S_g and sigma."""
+    return any(merged.get(k) is not None for k in ("clip_feature", "clip_gradient"))
+
+
 def _build_params(merged: dict) -> AccountingParams:
     _require(merged, "n", "b", "eta", "epochs")
     lam = float(merged.get("lambda", 0.0))
     neighboring = Neighboring(merged.get("neighboring", "change_one"))
     truncate = bool(merged.get("truncate_last_batch", False))
-    logistic_keys = ("clip_feature", "clip_gradient")
-    if any(merged.get(k) is not None for k in logistic_keys):
+    if _logistic(merged):
         _require(merged, "clip_feature", "clip_gradient", "sigma_mul")
         for k in ("beta", "sensitivity", "sigma"):
             if merged.get(k) is not None:
@@ -103,6 +107,8 @@ def _build_params(merged: dict) -> AccountingParams:
         return dataclasses.replace(params, neighboring=neighboring)
     _require(merged, "beta", "sensitivity")
     sigma = merged.get("sigma")
+    if sigma is not None and merged.get("sigma_mul") is not None:
+        raise AccountingError("--sigma conflicts with --sigma-mul; give one of them")
     if sigma is None:
         _require(merged, "sigma_mul")
         sigma = sigma_from_multiplier(
@@ -228,8 +234,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         else list(convert.DEFAULT_ALPHA_GRID)
     )
     if args.solve == "sigma":
-        direct_path = all(merged.get(k) is None for k in ("clip_feature", "clip_gradient"))
-        if direct_path and merged.get("sigma") is None and merged.get("sigma_mul") is None:
+        if not _logistic(merged) and merged.get("sigma") is None and merged.get("sigma_mul") is None:
             merged = dict(merged, sigma=1.0)  # placeholder; the bracket is searched
         params = _build_params(merged)
         sigma = calibrate.calibrate_noise(params, grid, args.target_eps, float(delta), kind)
@@ -281,19 +286,26 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _reference_params(merged: dict, epochs: int) -> AccountingParams:
-    defaults = {
-        "n": 50, "b": 2, "eta": 0.02, "sigma": 2.0,
-        "lambda": 1.0, "beta": 4.0, "sensitivity": 4.0,
-    }
-    filled = dict(defaults)
+    """The reference setting, with a default only for a key the user's path reads."""
+    filled: dict = {"n": 50, "b": 2, "eta": 0.02, "lambda": 1.0}
+    if not _logistic(merged):
+        filled.update(beta=4.0, sensitivity=4.0)
+        if merged.get("sigma_mul") is None:
+            filled["sigma"] = 2.0
     filled.update({k: v for k, v in merged.items() if v is not None})
     filled["epochs"] = epochs
     return _build_params(filled)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # flags only: a --config file may still carry these keys for other subcommands
+    ignored = [f"--{k}" for k in ("epochs", "alpha", "delta") if getattr(args, k) is not None]
+    if ignored:
+        raise AccountingError(
+            f"verify does not read {', '.join(ignored)}: its suites set their own epochs and orders"
+        )
     merged = _merged_options(args)
-    suites = ("tightness", "dominance", "monte-carlo") if args.suite == "all" else (args.suite,)
+    suites = ("tightness", "dominance") if args.suite == "all" else (args.suite,)
     failures = 0
 
     def emit_checked(record: dict, check: Callable[[], Any]) -> None:
@@ -301,7 +313,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         nonlocal failures
         try:
             report = check()
-        except (oracle.DominanceViolated, oracle.StatisticalMismatch) as exc:
+        except oracle.DominanceViolated as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             failures += 1
         else:
@@ -317,7 +329,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 _emit({"suite": "tightness", "alpha": alpha, "report": report.to_dict(),
                        "status": "ok" if tight else "FAIL"}, args)
                 failures += 0 if tight else 1
-        elif suite == "dominance":
+        else:
             for epochs in (1, 2, 5, 10, 20, 40):
                 params = _reference_params(merged, epochs=epochs)
                 for j0 in sorted({0, params.m // 2, params.m - 1}):
@@ -333,11 +345,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                         {"suite": "dominance", "epochs": epochs, "alpha": alpha},
                         lambda: oracle.verify_dominance(instance, alpha, "shuffle", beta=params.beta),
                     )
-        else:
-            params = _reference_params(merged, epochs=args.mc_epochs)
-            instance = oracle.make_instance(params, j0=0)
-            emit_checked({"suite": "monte-carlo"}, lambda: oracle.monte_carlo_check(
-                instance, samples=args.samples, seed=args.seed, alt=True))
     _emit({"failures": failures}, args)
     return 1 if failures else 0
 
@@ -409,10 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = subparsers.add_parser("verify", help="run the oracle verification suites")
     _add_param_flags(p_ver)
     p_ver.add_argument("--suite", default="all",
-                       choices=("tightness", "dominance", "monte-carlo", "all"))
-    p_ver.add_argument("--samples", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=20240)
-    p_ver.add_argument("--mc-epochs", dest="mc_epochs", type=int, default=5)
+                       choices=("tightness", "dominance", "all"))
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -422,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (oracle.DominanceViolated, oracle.StatisticalMismatch) as exc:
+    except oracle.DominanceViolated as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     # an ArithmeticError: float64 cannot evaluate the bound at these inputs

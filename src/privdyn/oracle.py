@@ -15,8 +15,6 @@ differing record is in the first batch.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -27,16 +25,13 @@ from .sampling import bound_shuffle, mixture_bound
 __all__ = [
     "SensitivityViolated",
     "DominanceViolated",
-    "StatisticalMismatch",
     "OracleInstance",
     "GaussianLaw",
     "DominanceReport",
-    "MonteCarloReport",
     "make_instance",
     "gaussian_law",
     "exact_renyi",
     "verify_dominance",
-    "monte_carlo_check",
 ]
 
 
@@ -46,10 +41,6 @@ class SensitivityViolated(AccountingError):
 
 class DominanceViolated(AssertionError):
     """exact > bound beyond tolerance: an implementation bug, never expected."""
-
-
-class StatisticalMismatch(AssertionError):
-    """Monte-Carlo moments disagree with the Gaussian recursion beyond 5 SE."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +154,8 @@ def make_instance(
     batch j0 with gap delta_x (default S_g/lam, the sensitivity maximum);
     the schedule is the contiguous partition.
     """
+    if not params.lam > 0:
+        raise AccountingError(f"the quadratic oracle needs lambda > 0, got {params.lam!r}")
     if j0 < 0 or j0 >= params.m:
         raise AccountingError(f"j0 = {j0} outside [0, {params.m - 1}]")
     if delta_x is None:
@@ -196,11 +189,6 @@ def make_instance(
     return _validate_instance(instance)
 
 
-def _batch_means(instance: OracleInstance, alt: bool) -> list[float]:
-    data = instance.data_alt if alt else instance.data
-    return [sum(data[i] for i in batch) / instance.b for batch in instance.schedule]
-
-
 def gaussian_law(
     instance: OracleInstance, alt: bool = False, trace: bool = False
 ) -> GaussianLaw | list[GaussianLaw]:
@@ -208,7 +196,8 @@ def gaussian_law(
     _validate_instance(instance)
     shrink = 1.0 - instance.eta * instance.lam
     noise_var = 2.0 * instance.eta * instance.sigma**2
-    means = _batch_means(instance, alt)
+    data = instance.data_alt if alt else instance.data
+    means = [sum(data[i] for i in batch) / instance.b for batch in instance.schedule]
     mean, var = instance.theta0, 0.0
     laws = [GaussianLaw(mean=mean, variance=var)]
     for _ in range(instance.epochs):
@@ -231,7 +220,7 @@ def exact_renyi(instance: OracleInstance, alpha: float) -> float:
     law = gaussian_law(instance, alt=False)
     law_alt = gaussian_law(instance, alt=True)
     gap = law.mean - law_alt.mean
-    return alpha * gap * gap / (2.0 * law.variance)
+    return alpha * gap * (gap / (2.0 * law.variance))  # gap*gap alone can underflow
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,7 +240,6 @@ class DominanceReport:
             "bound": self.bound,
             "slack": self.slack,
             "params": {"kind": self.kind, "alpha": self.alpha},
-            "seed": None,
         }
 
 
@@ -291,79 +279,5 @@ def verify_dominance(
     if report.slack < -slack_tol:
         raise DominanceViolated(
             f"exact {exact} exceeds bound {bound} (slack {report.slack})"
-        )
-    return report
-
-
-@dataclass(frozen=True, slots=True)
-class MonteCarloReport:
-    samples: int
-    seed: int
-    empirical_mean: float
-    empirical_variance: float
-    expected_mean: float
-    expected_variance: float
-    mean_z: float
-    variance_z: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-_Z_MAX = 5.0  # monte_carlo_check's tolerance, in standard errors
-
-
-def monte_carlo_check(
-    instance: OracleInstance,
-    samples: int,
-    seed: int,
-    alt: bool = False,
-) -> MonteCarloReport:
-    """Simulate the noisy updates and compare moments with the Gaussian recursion.
-
-    Runs ``samples`` independent trajectories with a seeded generator and
-    asserts the empirical last-iterate mean and variance sit within 5
-    standard errors of the recursion's prediction. Deterministic given the
-    seed; raises StatisticalMismatch on disagreement.
-    """
-    try:
-        import numpy as np  # the only numpy user: plain imports of privdyn skip it
-    except ImportError:
-        raise AccountingError(
-            "the monte-carlo check needs numpy: install the privdyn[monte-carlo] extra"
-        ) from None
-
-    _validate_instance(instance)
-    if samples < 10_000:
-        raise AccountingError(f"need at least 10^4 samples, got {samples}")
-    law = gaussian_law(instance, alt=alt)
-    shrink = 1.0 - instance.eta * instance.lam
-    noise_std = math.sqrt(2.0 * instance.eta * instance.sigma**2)
-    means = _batch_means(instance, alt)
-    rng = np.random.default_rng(seed)
-    theta = np.full(samples, instance.theta0, dtype=np.float64)
-    for _ in range(instance.epochs):
-        for xbar in means:
-            theta = shrink * theta + instance.eta * instance.lam * xbar
-            theta += rng.normal(0.0, noise_std, samples)
-    emp_mean = float(np.mean(theta))
-    emp_var = float(np.var(theta, ddof=1))
-    se_mean = math.sqrt(law.variance / samples)
-    se_var = law.variance * math.sqrt(2.0 / (samples - 1))
-    mean_z = (emp_mean - law.mean) / se_mean
-    var_z = (emp_var - law.variance) / se_var
-    report = MonteCarloReport(
-        samples=samples,
-        seed=seed,
-        empirical_mean=emp_mean,
-        empirical_variance=emp_var,
-        expected_mean=law.mean,
-        expected_variance=law.variance,
-        mean_z=mean_z,
-        variance_z=var_z,
-    )
-    if abs(mean_z) > _Z_MAX or abs(var_z) > _Z_MAX:
-        raise StatisticalMismatch(
-            f"moments off by more than {_Z_MAX} SE: mean_z={mean_z}, variance_z={var_z}"
         )
     return report

@@ -2,8 +2,8 @@
 
 They cross-check the library's closed forms from another angle (the
 per-iteration recursion, log-Sobolev constants, the mixture inequality, the
-SGM composition curve, the whole-grid solvers) and are not part of the
-accounting API.
+SGM composition curve, the whole-grid solvers) and the oracle's recursion
+from its closed form, and are not part of the accounting API.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from privdyn.calibrate import (
 from privdyn.convert import rdp_to_dp
 from privdyn.dynamics import IndexOutOfRange, _check_alpha
 from privdyn.numerics import geometric_sum
+from privdyn.oracle import OracleInstance
 from privdyn.params import AccountingError, AccountingParams, RdpPoint, with_epochs, with_sigma
 from privdyn.sampling import mixture_bound
 
@@ -230,3 +231,33 @@ def reference_max_epochs(
         else:
             hi = mid
     return lo
+
+
+def closed_form_law(instance: OracleInstance, alt: bool = False) -> list[tuple[float, float]]:
+    """(mean, variance) of every iterate of the quadratic oracle, without its recursion.
+
+    With rho = 1 - eta*lam and S = sum_j xbar_j*rho^(m-1-j), the variance after
+    t steps is 2*eta*sigma^2*(1 - rho^(2t))/(1 - rho^2), and the mean at the
+    start of epoch e is rho^(e*m)*theta0 + eta*lam*S*(1 - rho^(e*m))/(1 - rho^m).
+    i steps into an epoch the mean is rho^i times that, plus
+    eta*lam*sum_{s<i} xbar_s*rho^(i-1-s). Powers of rho go through log1p and
+    expm1, so 1 - rho^k keeps its relative precision when eta*lam is small.
+    """
+    eta_lam = instance.eta * instance.lam
+    log_rho = math.log1p(-eta_lam)
+    data = instance.data_alt if alt else instance.data
+    xbar = [sum(data[i] for i in batch) / instance.b for batch in instance.schedule]
+    m = len(xbar)
+    partial = [
+        sum(math.exp((i - 1 - s) * log_rho) * xbar[s] for s in range(i)) for i in range(m + 1)
+    ]
+    stationary_var = 2.0 * instance.eta * instance.sigma**2 / -math.expm1(2.0 * log_rho)
+    laws = []
+    for t in range(instance.epochs * m + 1):
+        e, i = divmod(t, m)
+        epoch_start = math.exp(e * m * log_rho) * instance.theta0 + (
+            eta_lam * partial[m] * math.expm1(e * m * log_rho) / math.expm1(m * log_rho)
+        )
+        mean = math.exp(i * log_rho) * epoch_start + eta_lam * partial[i]
+        laws.append((mean, stationary_var * -math.expm1(2.0 * t * log_rho)))
+    return laws

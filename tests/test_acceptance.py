@@ -4,7 +4,6 @@ evaluations (mpmath) of the closed forms; the SGM criterion re-runs its
 high-precision oracle in place.
 """
 
-import json
 import math
 import time
 
@@ -24,11 +23,11 @@ from privdyn import (
     corollary_logistic_bound,
     eps0_term,
     exact_renyi,
+    gaussian_law,
     logistic_params,
     make_instance,
     make_params,
     mixing_diffusion_first_batch,
-    monte_carlo_check,
     rdp_to_dp,
     sgm_eps,
     sgm_rdp_per_step,
@@ -40,7 +39,7 @@ from privdyn import (
 from privdyn.convert import DpGuarantee
 from privdyn.sampling import samp_wo_log_steps
 
-from helpers import recursion_coefficients
+from helpers import closed_form_law, recursion_coefficients
 
 
 def ref_at(epochs, lam=1.0, beta=4.0):
@@ -212,12 +211,11 @@ def test_criterion_09_conversion_and_calibration():
         ).eps == 6.0
 
 
-def test_criterion_10_monte_carlo():
-    with criterion("AC-10 Monte-Carlo moments within 5 SE; deterministic report", seconds=30.0):
-        params = ref_at(5)
-        instance = make_instance(params, j0=0)
-        first = monte_carlo_check(instance, samples=100_000, seed=20240, alt=True)
-        assert abs(first.mean_z) <= 5
-        assert abs(first.variance_z) <= 5
-        second = monte_carlo_check(instance, samples=100_000, seed=20240, alt=True)
-        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(second.to_dict(), sort_keys=True)
+def test_criterion_10_gaussian_law():
+    with criterion("AC-10 oracle law matches its closed form at every step", seconds=1.0):
+        instance = make_instance(ref_at(5), j0=0)
+        for alt in (False, True):
+            laws = gaussian_law(instance, alt=alt, trace=True)
+            for law, (mean, variance) in zip(laws, closed_form_law(instance, alt=alt), strict=True):
+                assert law.variance == pytest.approx(variance, rel=1e-12, abs=0.0)
+                assert abs(law.mean - mean) <= 1e-12 * 4.0  # max(|theta0|, max|x|) = S_g/lam

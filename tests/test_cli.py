@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privdyn import BoundKind, Neighboring, bound_fixed, bound_shuffle, rdp_to_dp, RdpPoint
+from privdyn import (
+    BoundKind, Neighboring, bound_fixed, bound_shuffle, rdp_to_dp, RdpPoint, sigma_from_multiplier,
+)
 from privdyn.cli import main
 
 REF_FLAGS = [
@@ -69,7 +71,7 @@ def test_missing_flag_exits_2_and_names_it(capsys):
     assert "--n" in err
 
 
-# case -> (error name printed on stderr, argv)
+# case -> (error name, or the start of the message, printed on stderr; argv)
 BAD_INPUTS = {
     "stepsize-too-large": ("StepsizeTooLarge", (
         "bound", "--kind", "shuffle", *REF_FLAGS[:-2], "--sigma", "2",
@@ -122,6 +124,15 @@ BAD_INPUTS = {
     "mixing-last-m1": ("BatchCountTooSmall", (
         "bound", "--kind", "mixing-diffusion-last", *REF_FLAGS, "--n", "2", "--alpha", "10",
         "--epochs", "4")),
+    # the worst-case oracle gap is S_g/lambda
+    "verify-convex": ("AccountingError: the quadratic oracle needs lambda > 0", (
+        "verify", "--suite", "tightness", "--lambda", "0")),
+    "sigma-and-sigma-mul": ("AccountingError: --sigma conflicts with --sigma-mul", (
+        "bound", "--kind", "shuffle", *REF_FLAGS, "--sigma-mul", "5", "--alpha", "10",
+        "--epochs", "4")),
+    # every verify suite sets its own epochs and orders
+    "verify-epochs-alpha-delta": ("AccountingError: verify does not read --epochs, --alpha, --delta", (
+        "verify", "--suite", "tightness", "--epochs", "3", "--alpha", "3", "--delta", "1e-5")),
 }
 
 
@@ -259,11 +270,35 @@ def test_calibrate_epochs_maxed_out(capsys):
 
 
 def test_verify_suites_exit_zero(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "tightness")
+    code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0
-    assert '"failures": 0' in out
-    code, out, _ = run(capsys, "verify", "--suite", "monte-carlo", "--samples", "20000")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[-1] == {"failures": 0}
+    assert {r["suite"] for r in records[:-1]} == {"tightness", "dominance"}
+    assert "monte-carlo" not in out
+
+
+def test_verify_tightness_at_tiny_eta(capsys):
+    # the squared mean gap underflows at eta = 1e-200; the exact value must not
+    code, out, _ = run(capsys, "verify", "--suite", "tightness", "--eta", "1e-200")
     assert code == 0
+    assert out.splitlines()[-1] == '{"failures": 0}'
+
+
+def test_verify_defaults_yield_to_sigma_mul(capsys):
+    # the reference defaults fill only what the user's path reads
+    sigma = sigma_from_multiplier(0.02, 2, 4.0, 0.5)
+    code, via_mul, _ = run(capsys, "verify", "--suite", "tightness", "--sigma-mul", "0.5")
+    assert code == 0
+    _, via_sigma, _ = run(capsys, "verify", "--suite", "tightness", "--sigma", repr(sigma))
+    assert via_mul == via_sigma
+    _, default, _ = run(capsys, "verify", "--suite", "tightness")
+    assert via_mul != default
+    code, _, err = run(
+        capsys, "verify", "--suite", "tightness",
+        "--clip-feature", "1", "--clip-gradient", "1", "--sigma-mul", "1",
+    )
+    assert (code, err) == (0, "")
 
 
 def test_alpha_flag_sets_calibrate_grid(capsys):
@@ -283,21 +318,29 @@ def run_python(code):
 
 
 def test_import_does_not_load_numpy():
-    # only oracle.monte_carlo_check uses numpy, and it imports it itself
+    # numpy is a test dependency only
     done = run_python("import sys, privdyn, privdyn.cli; assert 'numpy' not in sys.modules")
     assert done.returncode == 0, done.stderr
 
 
-def test_monte_carlo_without_numpy_exits_2():
-    # numpy is the optional monte-carlo extra; a None entry makes its import fail
+def test_cli_runs_without_numpy():
+    # a None entry makes any import of numpy fail
+    argvs = [
+        ["verify", "--suite", "all"],
+        ["bound", "--kind", "shuffle", *REF_FLAGS, "--alpha", "10", "--epochs", "40",
+         "--delta", "1e-5"],
+        ["calibrate", "--kind", "shuffle", *REF_FLAGS, "--epochs", "40", "--target-eps", "3",
+         "--delta", "1e-5", "--alpha", "2,4,8,16"],
+        ["convert", "--alpha", "10", "--eps", "0.05", "--delta", "1e-5"],
+    ]
     done = run_python(
         "import sys; sys.modules['numpy'] = None; from privdyn.cli import main; "
-        "sys.exit(main(['verify', '--suite', 'monte-carlo', '--samples', '10000']))"
+        f"codes = [main(argv) for argv in {argvs!r}]; "
+        "print(codes, sorted(k for k in sys.modules if k.startswith('numpy')), "
+        "sys.modules['numpy'], file=sys.stderr)"
     )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("AccountingError:") and "privdyn[monte-carlo]" in done.stderr
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[0, 0, 0, 0] ['numpy'] None\n"
 
 
 def test_public_surface():
@@ -309,14 +352,14 @@ def test_public_surface():
         "GaussianLaw", "HeadTail", "IndexOutOfRange", "InvalidDelta", "LogisticConstants",
         "MAXED_OUT", "MaxedOut", "Neighboring", "NonDividingBatch", "NonIntegerOrder",
         "NonPositive", "OracleInstance", "RdpPoint", "SensitivityViolated",
-        "StatisticalMismatch", "StepsizeTooLarge", "Unsatisfiable", "WeightsNotNormalized",
+        "StepsizeTooLarge", "Unsatisfiable", "WeightsNotNormalized",
         "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
         "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
         "convert", "converted_eps", "corollary_logistic_bound", "dynamics", "eps0_term",
         "evaluate_bound", "exact_renyi", "gaussian_law", "load_config", "logistic_constants",
         "logistic_params", "make_instance", "make_params", "max_epochs",
         "mixing_diffusion_first_batch", "mixing_diffusion_last_batch", "mixture_bound",
-        "monte_carlo_check", "numerics", "oracle", "params", "rdp_to_dp", "samp_wo_limit",
+        "numerics", "oracle", "params", "rdp_to_dp", "samp_wo_limit",
         "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",
         "translate_neighboring", "validate", "verify_dominance", "with_epochs", "with_sigma",
     ]

@@ -14,10 +14,11 @@ from privdyn import (
     gaussian_law,
     make_instance,
     make_params,
-    monte_carlo_check,
     verify_dominance,
 )
 from privdyn.oracle import OracleInstance
+
+from helpers import closed_form_law
 
 
 def quad_params(epochs, lam=1.0, beta=None):
@@ -50,6 +51,14 @@ def test_exact_quadratic_in_gap_and_linear_in_alpha():
     half = exact_renyi(make_instance(p, j0=5, delta_x=2.0), 10)
     assert half == pytest.approx(full / 4, rel=1e-12)
     assert exact_renyi(make_instance(p, j0=5), 30) == pytest.approx(3 * full, rel=1e-12)
+
+
+def test_make_instance_refuses_convex_params(ref_params_convex):
+    # the worst-case gap is S_g/lam, and the quadratic loss needs lam > 0
+    with pytest.raises(AccountingError, match="lambda > 0"):
+        make_instance(ref_params_convex, j0=0)
+    with pytest.raises(AccountingError, match="lambda > 0"):
+        make_instance(ref_params_convex, j0=0, delta_x=1.0)
 
 
 def test_sensitivity_violated():
@@ -136,46 +145,51 @@ def test_schedule_validation():
         exact_renyi(bad, 10)
 
 
-def test_monte_carlo_matches_recursion():
-    p = quad_params(5)
-    inst = make_instance(p, j0=0)
-    report = monte_carlo_check(inst, samples=100_000, seed=20240, alt=True)
-    assert abs(report.mean_z) <= 5
-    assert abs(report.variance_z) <= 5
-    law = gaussian_law(inst, alt=True)
-    assert report.expected_mean == law.mean
-    assert report.expected_variance == law.variance
+def random_law_instance(rng):
+    """A random partition of m <= 30 batches, K <= 60 epochs and eta in [1e-4, 0.9/lam]."""
+    m, b, epochs = int(rng.integers(1, 31)), int(rng.integers(1, 5)), int(rng.integers(0, 61))
+    lam = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    eta = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.9 / lam))))
+    n = m * b
+    perm = rng.permutation(n)
+    scale = float(np.exp(rng.uniform(-3.0, 3.0)))
+    data = tuple(float(x) for x in rng.normal(0.0, scale, n))
+    i0 = int(rng.integers(0, n))
+    gap = float(rng.normal(0.0, scale))
+    return OracleInstance(
+        lam=lam, eta=eta, sigma=float(np.exp(rng.uniform(-3.0, 3.0))), epochs=epochs, b=b,
+        s_g=lam * abs(gap) + 1.0, data=data,
+        data_alt=tuple(x + gap if i == i0 else x for i, x in enumerate(data)),
+        schedule=tuple(tuple(int(i) for i in perm[j * b : (j + 1) * b]) for j in range(m)),
+        theta0=float(rng.normal(0.0, scale)) if rng.random() < 0.7 else 0.0,
+    )
 
 
-def test_monte_carlo_deterministic_given_seed():
-    p = quad_params(2)
-    inst = make_instance(p, j0=3)
-    first = monte_carlo_check(inst, samples=20_000, seed=99)
-    second = monte_carlo_check(inst, samples=20_000, seed=99)
-    assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(second.to_dict(), sort_keys=True)
-    third = monte_carlo_check(inst, samples=20_000, seed=100)
-    assert json.dumps(third.to_dict(), sort_keys=True) != json.dumps(first.to_dict(), sort_keys=True)
-
-
-def test_monte_carlo_noiseless_limit():
-    p = make_params(n=8, b=2, eta=0.02, epochs=1, sigma=1e-6, lam=1.0, beta=1.0, s_g=4.0)
-    inst = make_instance(p, j0=0, delta_x=1.0)
-    report = monte_carlo_check(inst, samples=10_000, seed=5, alt=True)
-    # empirical mean tracks the deterministic recursion when the noise is tiny
-    assert report.empirical_mean == pytest.approx(report.expected_mean, abs=1e-6)
-
-
-def test_monte_carlo_rejects_small_sample_count():
-    p = quad_params(1)
-    with pytest.raises(AccountingError):
-        monte_carlo_check(make_instance(p, j0=0), samples=100, seed=1)
+def test_gaussian_law_matches_closed_form():
+    # every iterate of the recursion against its closed form, both runs
+    rng = np.random.default_rng(20240)
+    saw_k0 = False
+    for _ in range(200):
+        inst = random_law_instance(rng)
+        saw_k0 |= inst.epochs == 0
+        for alt in (False, True):
+            laws = gaussian_law(inst, alt=alt, trace=True)
+            expected = closed_form_law(inst, alt=alt)
+            assert len(laws) == len(expected) == inst.epochs * inst.m + 1
+            data = inst.data_alt if alt else inst.data
+            # the base run's mean can be exactly 0, so the mean's scale is the inputs'
+            scale = max(abs(inst.theta0), max(abs(x) for x in data))
+            for law, (mean, variance) in zip(laws, expected):
+                assert law.variance == pytest.approx(variance, rel=1e-12, abs=0.0)
+                assert abs(law.mean - mean) <= 1e-12 * scale
+    assert saw_k0
 
 
 def test_report_json_fields():
     p = quad_params(1, beta=4.0)
     report = verify_dominance(make_instance(p, j0=0), 10, "fixed", beta=4.0)
     payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
-    assert set(payload) == {"exact", "bound", "slack", "params", "seed"}
+    assert set(payload) == {"exact", "bound", "slack", "params"}
     assert payload["slack"] == pytest.approx(payload["bound"] - payload["exact"], abs=1e-18)
 
 
