@@ -26,10 +26,8 @@ from .dynamics import (
     eps0_term,
 )
 from .sampling import (
-    WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
-    mixture_bound,
     samp_wo_limit,
 )
 from .baselines import (
@@ -44,9 +42,7 @@ from .convert import (
     DpGuarantee,
     EmptyInput,
     InvalidDelta,
-    LogisticConstants,
     corollary_logistic_bound,
-    logistic_constants,
     logistic_params,
     rdp_to_dp,
     translate_neighboring,

@@ -4,8 +4,9 @@ Subcommands: bound (one JSON record), curve (k,eps CSV streams for
 plotting), calibrate (solve for sigma or epochs), convert (RDP ->
 (eps, delta) and neighboring translation), verify (oracle suites).
 
-Exit codes: 0 success, 1 verification failure, 2 input error. Identical
-flags produce byte-identical output unless --timestamp is passed.
+Exit codes: 0 success, 1 verification failure, 2 input error, 141 stdout
+closed early (128 + SIGPIPE). Identical flags produce byte-identical output
+unless --timestamp is passed.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import baselines, calibrate, convert, oracle
 from .calibrate import BoundKind
@@ -73,7 +75,8 @@ def _merged_options(args: argparse.Namespace) -> dict:
 def _require(merged: dict, *keys: str) -> None:
     missing = [k for k in keys if merged.get(k) is None]
     if missing:
-        raise AccountingError(f"missing required flag(s): {', '.join('--' + k for k in missing)}")
+        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        raise AccountingError(f"missing required flag(s): {flags}")
 
 
 def _logistic(merged: dict) -> bool:
@@ -110,7 +113,8 @@ def _build_params(merged: dict) -> AccountingParams:
     if sigma is not None and merged.get("sigma_mul") is not None:
         raise AccountingError("--sigma conflicts with --sigma-mul; give one of them")
     if sigma is None:
-        _require(merged, "sigma_mul")
+        if merged.get("sigma_mul") is None:
+            raise AccountingError("missing required flag(s): --sigma or --sigma-mul")
         sigma = sigma_from_multiplier(
             float(merged["eta"]), int(merged["b"]),
             float(merged["sensitivity"]), float(merged["sigma_mul"]),
@@ -234,8 +238,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         else list(convert.DEFAULT_ALPHA_GRID)
     )
     if args.solve == "sigma":
-        if not _logistic(merged) and merged.get("sigma") is None and merged.get("sigma_mul") is None:
-            merged = dict(merged, sigma=1.0)  # placeholder; the bracket is searched
+        if merged.get("sigma") is None and merged.get("sigma_mul") is None:
+            # a placeholder the solver replaces; the clip-flag path reads only sigma_mul
+            merged = dict(merged, **{"sigma_mul" if _logistic(merged) else "sigma": 1.0})
         params = _build_params(merged)
         sigma = calibrate.calibrate_noise(params, grid, args.target_eps, float(delta), kind)
         solved = calibrate.with_sigma(params, sigma)
@@ -308,27 +313,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     suites = ("tightness", "dominance") if args.suite == "all" else (args.suite,)
     failures = 0
 
-    def emit_checked(record: dict, check: Callable[[], Any]) -> None:
-        """Emit a passing check's report, or count the failure and say why on stderr."""
+    def emit_checked(record: dict, check: Callable[[], oracle.DominanceReport], tight: bool = False) -> None:
+        """Emit a passing check's report, or count the failure and say why on stderr.
+
+        A tight check fails also when its slack exceeds 1e-9 of the bound.
+        """
         nonlocal failures
         try:
             report = check()
         except oracle.DominanceViolated as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            failures += 1
+            reason = f"{type(exc).__name__}: {exc}"
         else:
-            _emit({**record, "report": report.to_dict(), "status": "ok"}, args)
+            if not tight or abs(report.slack) <= 1e-9 * report.bound:
+                _emit({**record, "report": report.to_dict(), "status": "ok"}, args)
+                return
+            reason = f"NotTight: slack {report.slack} exceeds 1e-9 of bound {report.bound}"
+        print(reason, file=sys.stderr)
+        failures += 1
 
     for suite in suites:
         if suite == "tightness":
             params = _reference_params(merged, epochs=1)
+            instance = oracle.make_instance(params, j0=0)
             for alpha in (2.0, 10.0, 30.0):
-                instance = oracle.make_instance(params, j0=0)
-                report = oracle.verify_dominance(instance, alpha, "fixed", beta=params.beta)
-                tight = abs(report.slack) <= 1e-9 * report.bound
-                _emit({"suite": "tightness", "alpha": alpha, "report": report.to_dict(),
-                       "status": "ok" if tight else "FAIL"}, args)
-                failures += 0 if tight else 1
+                emit_checked(
+                    {"suite": "tightness", "alpha": alpha},
+                    lambda: oracle.verify_dominance(instance, alpha, "fixed", beta=params.beta),
+                    tight=True,
+                )
         else:
             for epochs in (1, 2, 5, 10, 20, 40):
                 params = _reference_params(merged, epochs=epochs)
@@ -371,8 +383,15 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--timestamp", action="store_true", help="add a timestamp field to JSON output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag error in one line, like every other input error; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"InputError: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privdyn",
         description="Hidden-state (last-iterate) Renyi DP accounting for noisy mini-batch gradient descent.",
     )
@@ -436,6 +455,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"InputError: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): point it at devnull so the
+        # final flush stays quiet, and exit as a SIGPIPE-killed process would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -22,11 +22,9 @@ __all__ = [
     "EmptyInput",
     "InvalidDelta",
     "DpGuarantee",
-    "LogisticConstants",
     "DEFAULT_ALPHA_GRID",
     "rdp_to_dp",
     "translate_neighboring",
-    "logistic_constants",
     "logistic_params",
     "corollary_logistic_bound",
 ]
@@ -57,29 +55,6 @@ class DpGuarantee:
     delta: float
     neighboring: Neighboring
     alpha_star: float
-
-
-@dataclass(frozen=True, slots=True)
-class LogisticConstants:
-    """Regularity constants of clipped, regularized logistic regression.
-
-    For features clipped to l2-norm <= l_feat the unregularized loss is
-    lip-Lipschitz with lip = sqrt(2*(l_feat^2+1)) and beta-smooth with
-    beta = (l_feat^2+1)/2 (so lip^2 = 4*beta); clipping the unregularized
-    gradient at s_g/2 gives the regularized update map l2-sensitivity s_g
-    and makes it lambda-to-(beta+lambda) bi-Lipschitz.
-    """
-
-    l_feat: float
-    lam: float
-    lip: float
-    beta: float
-    s_g: float
-
-    @property
-    def effective_smoothness(self) -> float:
-        """Smoothness of the clipped regularized gradient map (stepsize checks)."""
-        return self.beta + self.lam
 
 
 def _converted(alpha: float, eps: float, log_term: float) -> float:
@@ -134,24 +109,6 @@ def translate_neighboring(
     return replace(guarantee, neighboring=target)
 
 
-def logistic_constants(l_feat: float, lam: float, grad_clip: float) -> LogisticConstants:
-    """Derive (Lipschitz, smoothness, sensitivity) from the two clip norms."""
-    if l_feat < 0:
-        raise NonPositive(f"feature clip norm must be >= 0, got {l_feat!r}")
-    if not lam > 0:
-        raise NonPositive(f"regularizer lambda must be positive, got {lam!r}")
-    if not grad_clip > 0:
-        raise NonPositive(f"gradient clip norm must be positive, got {grad_clip!r}")
-    beta = (l_feat**2 + 1.0) / 2.0
-    return LogisticConstants(
-        l_feat=float(l_feat),
-        lam=float(lam),
-        lip=math.sqrt(2.0 * (l_feat**2 + 1.0)),
-        beta=beta,
-        s_g=2.0 * grad_clip,
-    )
-
-
 def logistic_params(
     n: int,
     b: int,
@@ -165,21 +122,30 @@ def logistic_params(
 ) -> AccountingParams:
     """Accounting inputs for the noisy regularized-logistic-regression run.
 
-    The update map is lam-strongly convex and (beta+lam)-smooth, and the
-    noise multiplier converts to sigma = sqrt(eta/2)*(1/b)*sigma_mul*(S_g/2),
-    so the stepsize condition becomes eta < 2/((l_feat^2+1)/2 + 2*lam).
+    For features clipped to l2-norm <= l_feat the unregularized loss is
+    sqrt(2*(l_feat^2+1))-Lipschitz and beta-smooth with beta = (l_feat^2+1)/2;
+    clipping the unregularized gradient at grad_clip gives the regularized
+    update map l2-sensitivity S_g = 2*grad_clip and makes it
+    lambda-to-(beta+lambda) bi-Lipschitz. The noise multiplier converts to
+    sigma = sqrt(eta/2)*(1/b)*sigma_mul*(S_g/2), so the stepsize condition
+    becomes eta < 2/((l_feat^2+1)/2 + 2*lam).
     """
-    consts = logistic_constants(l_feat, lam, grad_clip)
-    sigma = sigma_from_multiplier(eta, b, consts.s_g, sigma_mul)
+    if l_feat < 0:
+        raise NonPositive(f"feature clip norm must be >= 0, got {l_feat!r}")
+    if not lam > 0:
+        raise NonPositive(f"regularizer lambda must be positive, got {lam!r}")
+    if not grad_clip > 0:
+        raise NonPositive(f"gradient clip norm must be positive, got {grad_clip!r}")
+    s_g = 2.0 * grad_clip
     return make_params(
         n=n,
         b=b,
         eta=eta,
         epochs=epochs,
-        sigma=sigma,
-        lam=consts.lam,
-        beta=consts.effective_smoothness,
-        s_g=consts.s_g,
+        sigma=sigma_from_multiplier(eta, b, s_g, sigma_mul),
+        lam=lam,
+        beta=(l_feat**2 + 1.0) / 2.0 + lam,
+        s_g=s_g,
         truncate_last_batch=truncate_last_batch,
     )
 

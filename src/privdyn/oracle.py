@@ -15,12 +15,14 @@ differing record is in the first batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .dynamics import _check_alpha, bound_fixed
+from .numerics import logsumexp
 from .params import AccountingError, AccountingParams, make_params
-from .sampling import bound_shuffle, mixture_bound
+from .sampling import bound_shuffle
 
 __all__ = [
     "SensitivityViolated",
@@ -58,7 +60,8 @@ class OracleInstance:
     The loss is (lam/2)*(theta - x)^2, so beta = lam and the stepsize must
     satisfy eta < 1/lam. ``data`` and ``data_alt`` differ in exactly one
     index; ``schedule`` is one shuffle-and-partition realization reused every
-    epoch. ``theta0`` is the shared point initialization.
+    epoch. ``theta0`` is the shared point initialization. Every instance is
+    checked once, at construction, so the oracle functions never re-check it.
     """
 
     lam: float
@@ -71,6 +74,28 @@ class OracleInstance:
     data_alt: tuple[float, ...]
     schedule: tuple[tuple[int, ...], ...]
     theta0: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.lam > 0:
+            raise AccountingError(f"lam must be positive, got {self.lam!r}")
+        if not self.eta > 0 or self.eta >= 1.0 / self.lam:
+            raise AccountingError(f"eta = {self.eta!r} must lie in (0, 1/lam) = (0, {1.0 / self.lam})")
+        if not self.sigma > 0 or not self.s_g > 0:
+            raise AccountingError("sigma and s_g must be positive")
+        if self.epochs < 0:
+            raise AccountingError(f"epochs must be >= 0, got {self.epochs}")
+        if len(self.data) != len(self.data_alt):
+            raise AccountingError("neighboring datasets must have equal size")
+        covered = [i for batch in self.schedule for i in batch]
+        if sorted(covered) != list(range(self.n)):
+            raise AccountingError("schedule must partition the index set exactly once")
+        if any(len(batch) != self.b for batch in self.schedule):
+            raise AccountingError(f"every batch must have size {self.b}")
+        i0 = self.differing_index
+        if i0 is not None:
+            gap = abs(self.data[i0] - self.data_alt[i0])
+            if gap > self.s_g / self.lam * (1 + 1e-12):
+                raise SensitivityViolated(f"|x_i0 - x'_i0| = {gap} exceeds S_g/lam = {self.s_g / self.lam}")
 
     @property
     def n(self) -> int:
@@ -110,36 +135,7 @@ class OracleInstance:
             lam=self.lam,
             beta=self.lam if beta is None else beta,
             s_g=self.s_g,
-            truncate_last_batch=self.n % self.b != 0,
         )
-
-
-def _validate_instance(instance: OracleInstance) -> OracleInstance:
-    if not instance.lam > 0:
-        raise AccountingError(f"lam must be positive, got {instance.lam!r}")
-    if not instance.eta > 0 or instance.eta >= 1.0 / instance.lam:
-        raise AccountingError(
-            f"eta = {instance.eta!r} must lie in (0, 1/lam) = (0, {1.0 / instance.lam})"
-        )
-    if not instance.sigma > 0 or not instance.s_g > 0:
-        raise AccountingError("sigma and s_g must be positive")
-    if instance.epochs < 0:
-        raise AccountingError(f"epochs must be >= 0, got {instance.epochs}")
-    if len(instance.data) != len(instance.data_alt):
-        raise AccountingError("neighboring datasets must have equal size")
-    covered = [i for batch in instance.schedule for i in batch]
-    if sorted(covered) != list(range(instance.n)):
-        raise AccountingError("schedule must partition the index set exactly once")
-    if any(len(batch) != instance.b for batch in instance.schedule):
-        raise AccountingError(f"every batch must have size {instance.b}")
-    i0 = instance.differing_index
-    if i0 is not None:
-        gap = abs(instance.data[i0] - instance.data_alt[i0])
-        if gap > instance.s_g / instance.lam * (1 + 1e-12):
-            raise SensitivityViolated(
-                f"|x_i0 - x'_i0| = {gap} exceeds S_g/lam = {instance.s_g / instance.lam}"
-            )
-    return instance
 
 
 def make_instance(
@@ -160,40 +156,27 @@ def make_instance(
         raise AccountingError(f"j0 = {j0} outside [0, {params.m - 1}]")
     if delta_x is None:
         delta_x = params.s_g / params.lam
+    # a truncated tail batch never runs, so only the m*b scheduled records exist
     n_used = params.m * params.b
-    data = (0.0,) * params.n
     i0 = j0 * params.b
-    data_alt = tuple(
-        float(delta_x) if i == i0 else 0.0 for i in range(params.n)
-    )
-    schedule = tuple(
-        tuple(range(j * params.b, (j + 1) * params.b)) for j in range(params.m)
-    )
-    if n_used != params.n:
-        # Truncated tail records exist in the data but never in the schedule;
-        # keep the partition property by restricting the instance to the used prefix.
-        data = data[:n_used]
-        data_alt = data_alt[:n_used]
-    instance = OracleInstance(
+    return OracleInstance(
         lam=params.lam,
         eta=params.eta,
         sigma=params.sigma,
         epochs=params.epochs,
         b=params.b,
         s_g=params.s_g,
-        data=data,
-        data_alt=data_alt,
-        schedule=schedule,
+        data=(0.0,) * n_used,
+        data_alt=tuple(float(delta_x) if i == i0 else 0.0 for i in range(n_used)),
+        schedule=tuple(tuple(range(j * params.b, (j + 1) * params.b)) for j in range(params.m)),
         theta0=theta0,
     )
-    return _validate_instance(instance)
 
 
 def gaussian_law(
     instance: OracleInstance, alt: bool = False, trace: bool = False
 ) -> GaussianLaw | list[GaussianLaw]:
     """Exact (mean, variance) of the last iterate, or the whole trajectory."""
-    _validate_instance(instance)
     shrink = 1.0 - instance.eta * instance.lam
     noise_var = 2.0 * instance.eta * instance.sigma**2
     data = instance.data_alt if alt else instance.data
@@ -214,7 +197,6 @@ def exact_renyi(instance: OracleInstance, alpha: float) -> float:
     alpha*(mean gap)^2/(2*variance); 0 for identical datasets or K = 0.
     """
     _check_alpha(alpha)
-    _validate_instance(instance)
     if instance.epochs == 0:
         return 0.0
     law = gaussian_law(instance, alt=False)
@@ -254,11 +236,10 @@ def verify_dominance(
 
     kind "fixed" compares against the fixed-batch bound at the instance's own
     j0. kind "shuffle" treats the instance as a template: the exact values for
-    all m placements of the differing record are combined with log-avg-exp
-    (the mixture the shuffle bound averages over) and compared to it.
+    all m placements of the differing record are combined with the log-mean-exp
+    that forms the shuffle tail, and compared to the shuffle bound.
     """
     _check_alpha(alpha)
-    _validate_instance(instance)
     params = instance.accounting_params(beta=beta)
     if bound_kind == "fixed":
         exact = exact_renyi(instance, alpha)
@@ -270,8 +251,8 @@ def verify_dominance(
             exact_renyi(make_instance(params, j0, delta_x=gap, theta0=instance.theta0), alpha)
             for j0 in range(params.m)
         ]
-        weight = 1.0 / params.m
-        exact = mixture_bound([(weight, e) for e in per_batch], alpha)
+        scale = alpha - 1.0
+        exact = logsumexp(-math.log(params.m), [scale * e for e in per_batch]) / scale
         bound = bound_shuffle(params, alpha).eps
     else:
         raise AccountingError(f"unknown dominance kind {bound_kind!r}")

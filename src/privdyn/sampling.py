@@ -13,7 +13,7 @@ Two batch-generation schemes on top of the fixed-batch dynamics:
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .dynamics import (
     HeadTail,
@@ -25,22 +25,16 @@ from .dynamics import (
     eps0_term,
 )
 from .numerics import logsumexp
-from .params import AccountingError, AccountingParams
+from .params import AccountingParams
 
 __all__ = [
-    "WeightsNotNormalized",
     "bound_shuffle",
     "shuffle_limit",
     "bound_samp_wo_replacement",
     "samp_wo_log_steps",
     "samp_wo_epochs",
     "samp_wo_limit",
-    "mixture_bound",
 ]
-
-
-class WeightsNotNormalized(AccountingError):
-    """Mixture weights do not sum to 1."""
 
 
 def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
@@ -138,25 +132,3 @@ def samp_wo_limit(params: AccountingParams, alpha: float) -> float:
         return math.inf
     log_s_star = -math.log1p(-growth) / -math.expm1(params.log_r)
     return log_s_star / (alpha - 1.0)
-
-
-def mixture_bound(mixtures: Sequence[tuple[float, float]], alpha: float) -> float:
-    """Combine per-component RDP values through the scaled-exponential mixture rule.
-
-    Returns (1/(a-1)) * log(sum_i w_i * exp((a-1)*eps_i)) through the mixture
-    kernel.
-    """
-    _check_alpha(alpha)
-    if not mixtures:
-        raise AccountingError("mixture_bound needs at least one component")
-    weights = [w for w, _ in mixtures]
-    comps = [e for _, e in mixtures]
-    if abs(math.fsum(weights) - 1.0) > 1e-9:
-        raise WeightsNotNormalized(f"weights sum to {math.fsum(weights)!r}, expected 1")
-    if any(w < 0 for w in weights):
-        raise WeightsNotNormalized("negative mixture weight")
-    if any(e < 0 for e in comps):
-        raise AccountingError("mixture components must be nonnegative")
-    scale = alpha - 1.0
-    log_weights = [math.log(w) if w > 0 else -math.inf for w in weights]
-    return logsumexp(log_weights, [scale * e for e in comps]) / scale

@@ -130,6 +130,14 @@ BAD_INPUTS = {
     "sigma-and-sigma-mul": ("AccountingError: --sigma conflicts with --sigma-mul", (
         "bound", "--kind", "shuffle", *REF_FLAGS, "--sigma-mul", "5", "--alpha", "10",
         "--epochs", "4")),
+    # missing flags are named as they are typed
+    "clip-without-gradient-and-sigma-mul": (
+        "AccountingError: missing required flag(s): --clip-gradient, --sigma-mul", (
+            "bound", "--kind", "shuffle", *REF_FLAGS[:8], "--clip-feature", "1",
+            "--alpha", "10", "--epochs", "4")),
+    "neither-sigma-nor-sigma-mul": (
+        "AccountingError: missing required flag(s): --sigma or --sigma-mul", (
+            "bound", "--kind", "shuffle", *REF_FLAGS[:-2], "--alpha", "10", "--epochs", "4")),
     # every verify suite sets its own epochs and orders
     "verify-epochs-alpha-delta": ("AccountingError: verify does not read --epochs, --alpha, --delta", (
         "verify", "--suite", "tightness", "--epochs", "3", "--alpha", "3", "--delta", "1e-5")),
@@ -278,6 +286,33 @@ def test_verify_suites_exit_zero(capsys):
     assert "monte-carlo" not in out
 
 
+@pytest.mark.parametrize("fault, reason", [
+    ("raise", "DominanceViolated: planted"),
+    ("loose", "NotTight: slack 1.0 exceeds 1e-9 of bound 2.0"),
+])
+def test_verify_counts_a_tightness_failure_and_runs_on(capsys, monkeypatch, fault, reason):
+    from privdyn import oracle
+
+    _, expected, _ = run(capsys, "verify", "--suite", "all")
+    real, calls = oracle.verify_dominance, []
+
+    def planted(instance, alpha, *args, **kwargs):
+        calls.append(alpha)
+        if len(calls) == 2:  # tightness at alpha 10: that suite runs first
+            if fault == "raise":
+                raise oracle.DominanceViolated("planted")
+            return oracle.DominanceReport(kind="fixed", alpha=alpha, exact=1.0, bound=2.0)
+        return real(instance, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "verify_dominance", planted)
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert (code, err) == (1, reason + "\n")
+    lines = expected.splitlines()
+    assert json.loads(lines[1])["suite"] == "tightness" and calls[1] == 10.0
+    # only the failed record is missing, and the count says so
+    assert out.splitlines() == lines[:1] + lines[2:-1] + ['{"failures": 1}']
+
+
 def test_verify_tightness_at_tiny_eta(capsys):
     # the squared mean gap underflows at eta = 1e-200; the exact value must not
     code, out, _ = run(capsys, "verify", "--suite", "tightness", "--eta", "1e-200")
@@ -310,11 +345,40 @@ def test_alpha_flag_sets_calibrate_grid(capsys):
     assert json.loads(out)["alpha_grid"] == [2.0, 8.0]
 
 
+def checkout_env():
+    """The environment for a fresh interpreter that imports privdyn from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code):
     """Run code in a fresh interpreter that imports privdyn from this checkout."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True)
+
+
+def test_closed_pipe_exits_141_quietly():
+    # about 0.7 MB of rows: more than a pipe buffer, so the writer meets the closed pipe
+    argv = ["curve", "--kinds", "naive,sgm", *REF_FLAGS, "--alpha", "10", "--epochs-max", "20000"]
+    proc = subprocess.Popen([sys.executable, "-m", "privdyn", *argv], env=checkout_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"# kind=naive alpha=10\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--kind", "shuffle", "--n", "abc"),
+    ("calibrate", "--kind", "fixed", *REF_FLAGS, "--epochs", "3", "--target-eps", "3"),
+    ("convert", "--alpha", "10", "--eps", "0.05", "--delta", "1e-5", "--bogus", "1"),
+], ids=["bad-int", "bad-choice", "unknown-flag"])
+def test_flag_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InputError: "), err
 
 
 def test_import_does_not_load_numpy():
@@ -349,19 +413,18 @@ def test_public_surface():
     assert done.stdout.split() == [
         "AccountingError", "AccountingParams", "BatchCountTooSmall", "BoundKind",
         "DEFAULT_ALPHA_GRID", "DominanceViolated", "DpGuarantee", "EmptyInput",
-        "GaussianLaw", "HeadTail", "IndexOutOfRange", "InvalidDelta", "LogisticConstants",
-        "MAXED_OUT", "MaxedOut", "Neighboring", "NonDividingBatch", "NonIntegerOrder",
-        "NonPositive", "OracleInstance", "RdpPoint", "SensitivityViolated",
-        "StepsizeTooLarge", "Unsatisfiable", "WeightsNotNormalized",
-        "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
+        "GaussianLaw", "HeadTail", "IndexOutOfRange", "InvalidDelta", "MAXED_OUT",
+        "MaxedOut", "Neighboring", "NonDividingBatch", "NonIntegerOrder", "NonPositive",
+        "OracleInstance", "RdpPoint", "SensitivityViolated", "StepsizeTooLarge",
+        "Unsatisfiable", "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
         "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
         "convert", "converted_eps", "corollary_logistic_bound", "dynamics", "eps0_term",
-        "evaluate_bound", "exact_renyi", "gaussian_law", "load_config", "logistic_constants",
-        "logistic_params", "make_instance", "make_params", "max_epochs",
-        "mixing_diffusion_first_batch", "mixing_diffusion_last_batch", "mixture_bound",
-        "numerics", "oracle", "params", "rdp_to_dp", "samp_wo_limit",
-        "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",
-        "translate_neighboring", "validate", "verify_dominance", "with_epochs", "with_sigma",
+        "evaluate_bound", "exact_renyi", "gaussian_law", "load_config", "logistic_params",
+        "make_instance", "make_params", "max_epochs", "mixing_diffusion_first_batch",
+        "mixing_diffusion_last_batch", "numerics", "oracle", "params", "rdp_to_dp",
+        "samp_wo_limit", "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",
+        "translate_neighboring", "validate", "verify_dominance", "with_epochs",
+        "with_sigma",
     ]
 
 
@@ -387,6 +450,17 @@ def test_bound_kind_fixed_needs_j0(capsys, ref_params):
     assert record["eps_rdp"] == pytest.approx(
         bound_fixed(ref_params, 10, 12).eps, rel=1e-15
     )
+
+
+def test_calibrate_sigma_on_clip_flags_needs_no_sigma_mul(capsys):
+    # the solver replaces sigma, so a given --sigma-mul changes nothing
+    argv = ("calibrate", "--kind", "shuffle", "--target-eps", "3", "--delta", "1e-5",
+            "--n", "50", "--b", "2", "--eta", "0.02", "--lambda", "1",
+            "--clip-feature", "1", "--clip-gradient", "1", "--epochs", "40")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    _, with_mul, _ = run(capsys, *argv, "--sigma-mul", "7")
+    assert out == with_mul
 
 
 def test_calibrate_sigma_with_multiplier_parameterization(capsys):

@@ -14,7 +14,6 @@ from privdyn import (
     RdpPoint,
     bound_shuffle,
     corollary_logistic_bound,
-    logistic_constants,
     logistic_params,
     rdp_to_dp,
     translate_neighboring,
@@ -80,19 +79,23 @@ def test_translate_neighboring_doubles_once():
 
 
 def test_logistic_constants_values():
-    c = logistic_constants(1.0, 0.04, 0.1)
-    assert c.lip == pytest.approx(2.0, rel=1e-15)
-    assert c.beta == pytest.approx(1.0, rel=1e-15)
-    assert c.s_g == pytest.approx(0.2, rel=1e-15)
-    assert c.lip**2 == pytest.approx(4 * c.beta, rel=1e-12)
-    assert c.effective_smoothness == pytest.approx(1.04, rel=1e-12)
-    bias_only = logistic_constants(0.0, 0.04, 0.1)
-    assert bias_only.lip == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert bias_only.beta == pytest.approx(0.5, rel=1e-15)
+    def params(l_feat, lam, grad_clip):
+        return logistic_params(n=50, b=2, eta=0.1, epochs=1, lam=lam, l_feat=l_feat,
+                               grad_clip=grad_clip, sigma_mul=10.0)
+
+    # beta is the loss's (l_feat^2+1)/2 plus the regularizer's lam
+    p = params(1.0, 0.04, 0.1)
+    assert p.beta - p.lam == pytest.approx(1.0, rel=1e-15)
+    assert p.s_g == pytest.approx(0.2, rel=1e-15)
+    assert p.beta == pytest.approx(1.04, rel=1e-12)
+    bias_only = params(0.0, 0.04, 0.1)
+    assert bias_only.beta - bias_only.lam == pytest.approx(0.5, rel=1e-15)
+    with pytest.raises(NonPositive, match="feature clip norm"):
+        params(-1.0, 0.04, 0.1)
     with pytest.raises(NonPositive):
-        logistic_constants(1.0, 0.0, 0.1)
+        params(1.0, 0.0, 0.1)
     with pytest.raises(NonPositive):
-        logistic_constants(1.0, 0.04, -0.1)
+        params(1.0, 0.04, -0.1)
 
 
 def test_prefactor_identity_on_random_draws():

@@ -136,13 +136,42 @@ def test_dominance_violation_raises():
 def test_schedule_validation():
     p = quad_params(1)
     good = make_instance(p, j0=0)
-    bad = OracleInstance(
-        lam=good.lam, eta=good.eta, sigma=good.sigma, epochs=good.epochs,
-        b=good.b, s_g=good.s_g, data=good.data, data_alt=good.data_alt,
-        schedule=good.schedule[:-1] + (good.schedule[0],),  # index 0 covered twice
-    )
-    with pytest.raises(AccountingError):
-        exact_renyi(bad, 10)
+    # refused at construction, before any oracle function sees it
+    with pytest.raises(AccountingError, match="partition"):
+        OracleInstance(
+            lam=good.lam, eta=good.eta, sigma=good.sigma, epochs=good.epochs,
+            b=good.b, s_g=good.s_g, data=good.data, data_alt=good.data_alt,
+            schedule=good.schedule[:-1] + (good.schedule[0],),  # index 0 covered twice
+        )
+
+
+# m = 2 batches of b = 2; the last record differs by S_g/lam = 4
+VALID_INSTANCE = dict(
+    lam=1.0, eta=0.02, sigma=2.0, epochs=1, b=2, s_g=4.0,
+    data=(0.0, 0.0, 0.0, 0.0), data_alt=(0.0, 0.0, 0.0, 4.0), schedule=((0, 1), (2, 3)),
+)
+# case -> (field changes, error type, start of the message)
+INSTANCE_REFUSALS = {
+    "lam-zero": ({"lam": 0.0}, AccountingError, "lam must be positive"),
+    "eta-at-1/lam": ({"eta": 1.0}, AccountingError, "eta = 1.0 must lie in"),
+    "sigma-zero": ({"sigma": 0.0}, AccountingError, "sigma and s_g must be positive"),
+    "s_g-negative": ({"s_g": -1.0}, AccountingError, "sigma and s_g must be positive"),
+    "epochs-negative": ({"epochs": -1}, AccountingError, "epochs must be >= 0"),
+    "unequal-lengths": ({"data_alt": (0.0, 0.0, 0.0)}, AccountingError, "neighboring datasets"),
+    "not-a-partition": ({"schedule": ((0, 1), (1, 2))}, AccountingError, "schedule must partition"),
+    "wrong-batch-size": ({"schedule": ((0, 1, 2), (3,))}, AccountingError, "every batch must have size 2"),
+    "two-differences": ({"data_alt": (1.0, 0.0, 0.0, 4.0)}, AccountingError, "instance must differ"),
+    "gap-above-s_g/lam": ({"data_alt": (0.0, 0.0, 0.0, 4.01)}, SensitivityViolated, "|x_i0 - x'_i0|"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_REFUSALS))
+def test_instance_refusals_fire_at_construction(case):
+    OracleInstance(**VALID_INSTANCE)
+    changes, error, message = INSTANCE_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        OracleInstance(**{**VALID_INSTANCE, **changes})
+    assert str(exc.value).startswith(message)
 
 
 def random_law_instance(rng):

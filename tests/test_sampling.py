@@ -5,19 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from privdyn import (
     BoundKind,
-    WeightsNotNormalized,
     bound_samp_wo_replacement,
     bound_shuffle,
     bound_fixed,
     eps0_term,
     make_params,
-    mixture_bound,
     samp_wo_limit,
     with_epochs,
 )
 from privdyn.sampling import samp_wo_log_steps
 
-from helpers import check_joint_convexity
+from helpers import check_joint_convexity, mixture_rdp
 
 
 def linear_domain_samp_wo(params, alpha, steps):
@@ -142,18 +140,11 @@ def test_shuffle_monotone_in_k_and_alpha(ref_params):
 
 
 def test_mixture_bound_examples():
-    assert mixture_bound([(0.5, 0.3), (0.5, 0.3)], 10) == pytest.approx(0.3, rel=1e-12)
-    assert mixture_bound([(1.0, 0.7), (0.0, 0.1)], 10) == pytest.approx(0.7, rel=1e-12)
+    assert mixture_rdp([(0.5, 0.3), (0.5, 0.3)], 10) == pytest.approx(0.3, rel=1e-12)
+    assert mixture_rdp([(1.0, 0.7), (0.0, 0.1)], 10) == pytest.approx(0.7, rel=1e-12)
     # 0.04/0.96 mixture of (0.05, 0) at alpha=10 equals the samp-wo one-step value
-    combined = mixture_bound([(0.04, 0.05), (0.96, 0.0)], 10)
+    combined = mixture_rdp([(0.04, 0.05), (0.96, 0.0)], 10)
     assert combined == pytest.approx(0.002497550516593540, rel=1e-10)
-
-
-def test_mixture_bound_rejects_bad_weights():
-    with pytest.raises(WeightsNotNormalized):
-        mixture_bound([(0.5, 0.1), (0.4, 0.2)], 10)
-    with pytest.raises(WeightsNotNormalized):
-        mixture_bound([(1.5, 0.1), (-0.5, 0.2)], 10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,7 +163,7 @@ def test_joint_convexity_property(raw_weights, data, alpha):
     )
     mixtures = list(zip(weights, comps))
     assert check_joint_convexity(mixtures, alpha)
-    combined = mixture_bound(mixtures, alpha)
+    combined = mixture_rdp(mixtures, alpha)
     assert min(comps) - 1e-9 <= combined <= max(comps) + 1e-9
 
 
