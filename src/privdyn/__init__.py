@@ -11,7 +11,6 @@ from .params import (
     NonPositive,
     RdpPoint,
     StepsizeTooLarge,
-    load_config,
     make_params,
     sigma_from_multiplier,
     validate,

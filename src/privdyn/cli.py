@@ -24,11 +24,9 @@ from typing import Callable, NoReturn, Optional, Sequence
 from . import baselines, calibrate, convert, oracle
 from .calibrate import BoundKind
 from .params import (
-    CONFIG_KEYS,
     AccountingError,
     AccountingParams,
     Neighboring,
-    load_config,
     make_params,
     sigma_from_multiplier,
 )
@@ -50,32 +48,101 @@ def _kind(name: str, flag: str) -> BoundKind:
         raise AccountingError(f"unknown {flag} value {name!r}; choose from {names}") from None
 
 
-def _parse_float_list(raw: str, flag: str) -> list[float]:
+def _refuse_unread_j0(j0: Optional[int], kinds: list[BoundKind]) -> None:
+    if j0 is not None and BoundKind.FIXED not in kinds:
+        raise AccountingError("only kind fixed reads --j0, and no requested kind is fixed")
+
+
+def _float_list(raw: str) -> list[float]:
+    """A comma-separated list of numbers, the type of the --alpha and --eps flags."""
     try:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise AccountingError(f"cannot parse {flag} value {raw!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {raw!r} as comma-separated numbers") from None
     if not values:
-        raise AccountingError(f"{flag} must list at least one value")
+        raise argparse.ArgumentTypeError("must list at least one value")
     return values
 
 
+# The one parameter schema. Each key is a param flag's dest and a --config key,
+# with the argparse settings that read the flag's value and the config value.
+_PARAMS: dict[str, dict] = {
+    "n": {"type": int, "help": "dataset size"},
+    "b": {"type": int, "help": "mini-batch size"},
+    "eta": {"type": float, "help": "stepsize"},
+    "epochs": {"type": int, "help": "number of epochs"},
+    "sigma": {"type": float, "help": "noise scale (per-step variance 2*eta*sigma^2)"},
+    "sigma_mul": {"type": float, "help": "implementation noise multiplier"},
+    "lambda": {"type": float, "help": "strong convexity constant (0 = convex)"},
+    "beta": {"type": float, "help": "smoothness constant"},
+    "sensitivity": {"type": float, "help": "gradient l2-sensitivity S_g"},
+    "clip_feature": {"type": float, "help": "feature clip norm (logistic derivation)"},
+    "clip_gradient": {"type": float, "help": "unregularized-gradient clip norm (= S_g/2)"},
+    "alpha": {"type": _float_list, "help": "Renyi order or comma-separated list"},
+    "delta": {"type": float, "help": "target delta for (eps, delta)-DP"},
+    "neighboring": {"choices": [n.value for n in Neighboring], "help": "dataset adjacency notion"},
+    "truncate_last_batch": {"action": "store_true", "default": None,
+                            "help": "ignore the tail batch when b does not divide n"},
+}
+# the config values of the store_true flag, which itself takes no value
+_YES_NO = {"true": True, "yes": True, "false": False, "no": False}
+
+
+class ConfigError(AccountingError):
+    """A --config file that cannot be read, or a line its flags would refuse."""
+
+
+def _flag(key: str) -> str:
+    """The flag of a param key, as typed."""
+    return "--" + key.replace("_", "-")
+
+
+def _config_value(spec: dict, raw: str) -> object:
+    """A config value read as its flag reads it; ArgumentTypeError if the flag would refuse it."""
+    if spec.get("action") == "store_true":
+        spec, raw = {"choices": list(_YES_NO), "type": _YES_NO.get}, raw.lower()
+    if raw not in spec.get("choices", [raw]):
+        raise argparse.ArgumentTypeError(f"invalid choice {raw!r} (choose from {', '.join(spec['choices'])})")
+    try:
+        return spec.get("type", str)(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {spec['type'].__name__} value {raw!r}") from None
+
+
+def _read_config(path: str) -> dict:
+    """The params of a flat ``key = value`` file, with ``#`` comments and quoted values."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    out: dict = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, eq, raw = (part.strip() for part in stripped.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if key not in _PARAMS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = _config_value(_PARAMS[key], raw.strip('"').strip("'"))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+    return out
+
+
 def _merged_options(args: argparse.Namespace) -> dict:
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(load_config(args.config))
-    # every param flag's dest is its config key; an absent flag is None
-    for key in sorted(CONFIG_KEYS):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
+    merged = _read_config(args.config) if args.config else {}
+    # an absent flag is None
+    merged.update((k, getattr(args, k)) for k in _PARAMS if getattr(args, k) is not None)
     return merged
 
 
 def _require(merged: dict, *keys: str) -> None:
     missing = [k for k in keys if merged.get(k) is None]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        flags = ", ".join(map(_flag, missing))
         raise AccountingError(f"missing required flag(s): {flags}")
 
 
@@ -86,26 +153,23 @@ def _logistic(merged: dict) -> bool:
 
 def _build_params(merged: dict) -> AccountingParams:
     _require(merged, "n", "b", "eta", "epochs")
-    lam = float(merged.get("lambda", 0.0))
+    common = dict(
+        n=merged["n"], b=merged["b"], eta=merged["eta"], epochs=merged["epochs"],
+        lam=merged.get("lambda", 0.0),
+        truncate_last_batch=merged.get("truncate_last_batch", False),
+    )
     neighboring = Neighboring(merged.get("neighboring", "change_one"))
-    truncate = bool(merged.get("truncate_last_batch", False))
     if _logistic(merged):
-        _require(merged, "clip_feature", "clip_gradient", "sigma_mul")
+        derivation = ("clip_feature", "clip_gradient", "sigma_mul")
+        _require(merged, *derivation)
         for k in ("beta", "sensitivity", "sigma"):
             if merged.get(k) is not None:
                 raise AccountingError(
-                    f"--{k} conflicts with the clip_feature/clip_gradient/sigma_mul derivation"
+                    f"{_flag(k)} conflicts with the {'/'.join(map(_flag, derivation))} derivation"
                 )
         params = convert.logistic_params(
-            n=int(merged["n"]),
-            b=int(merged["b"]),
-            eta=float(merged["eta"]),
-            epochs=int(merged["epochs"]),
-            lam=lam,
-            l_feat=float(merged["clip_feature"]),
-            grad_clip=float(merged["clip_gradient"]),
-            sigma_mul=float(merged["sigma_mul"]),
-            truncate_last_batch=truncate,
+            **common, l_feat=merged["clip_feature"], grad_clip=merged["clip_gradient"],
+            sigma_mul=merged["sigma_mul"],
         )
         return dataclasses.replace(params, neighboring=neighboring)
     _require(merged, "beta", "sensitivity")
@@ -116,20 +180,11 @@ def _build_params(merged: dict) -> AccountingParams:
         if merged.get("sigma_mul") is None:
             raise AccountingError("missing required flag(s): --sigma or --sigma-mul")
         sigma = sigma_from_multiplier(
-            float(merged["eta"]), int(merged["b"]),
-            float(merged["sensitivity"]), float(merged["sigma_mul"]),
+            merged["eta"], merged["b"], merged["sensitivity"], merged["sigma_mul"]
         )
     return make_params(
-        n=int(merged["n"]),
-        b=int(merged["b"]),
-        eta=float(merged["eta"]),
-        epochs=int(merged["epochs"]),
-        sigma=float(sigma),
-        lam=lam,
-        beta=float(merged["beta"]),
-        s_g=float(merged["sensitivity"]),
+        **common, sigma=sigma, beta=merged["beta"], s_g=merged["sensitivity"],
         neighboring=neighboring,
-        truncate_last_batch=truncate,
     )
 
 
@@ -150,15 +205,6 @@ def _params_echo(params: AccountingParams) -> dict:
     }
 
 
-def _alpha_list(merged: dict) -> list[float]:
-    raw = merged.get("alpha")
-    if raw is None:
-        raise AccountingError("missing required flag(s): --alpha")
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    return _parse_float_list(str(raw), "--alpha")
-
-
 def _emit(record: dict, args: argparse.Namespace) -> None:
     for key, value in sorted(record.items()):
         if any(isinstance(v, float) and not math.isfinite(v)
@@ -172,8 +218,10 @@ def _emit(record: dict, args: argparse.Namespace) -> None:
 def _cmd_bound(args: argparse.Namespace) -> int:
     merged = _merged_options(args)
     params = _build_params(merged)
-    alphas = _alpha_list(merged)
+    _require(merged, "alpha")
+    alphas = merged["alpha"]
     kind = _kind(args.kind, "--kind")
+    _refuse_unread_j0(args.j0, [kind])
     family = kind.at(args.j0)
     eps_values = [family.eps(params, a) for a in alphas]
     single = len(alphas) == 1
@@ -190,8 +238,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     delta = merged.get("delta")
     if delta is not None:
         points = [convert.RdpPoint(alpha=a, eps=e) for a, e in zip(alphas, eps_values)]
-        guarantee = convert.rdp_to_dp(points, float(delta), params.neighboring)
-        record["delta"] = float(delta)
+        guarantee = convert.rdp_to_dp(points, delta, params.neighboring)
+        record["delta"] = delta
         record["eps_dp"] = guarantee.eps
         record["alpha_star"] = guarantee.alpha_star
     _emit(record, args)
@@ -203,8 +251,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if args.epochs_max is not None:
         merged["epochs"] = args.epochs_max
     params = _build_params(merged)
-    alphas = _alpha_list(merged)
+    _require(merged, "alpha")
+    alphas = merged["alpha"]
     kinds = [_kind(k.strip(), "--kinds") for k in args.kinds.split(",") if k.strip()]
+    _refuse_unread_j0(args.j0, kinds)
     epochs_max = params.epochs
     if epochs_max < 1:
         raise AccountingError("--epochs-max must be >= 1 for curves")
@@ -229,39 +279,34 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     merged = _merged_options(args)
     kind = BoundKind(args.kind)
-    delta = merged.get("delta")
-    if delta is None:
-        raise AccountingError("missing required flag(s): --delta")
-    grid = (
-        _alpha_list(merged)
-        if merged.get("alpha") is not None
-        else list(convert.DEFAULT_ALPHA_GRID)
-    )
+    _require(merged, "delta")
+    delta = merged["delta"]
+    grid = merged.get("alpha", list(convert.DEFAULT_ALPHA_GRID))
     if args.solve == "sigma":
         if merged.get("sigma") is None and merged.get("sigma_mul") is None:
             # a placeholder the solver replaces; the clip-flag path reads only sigma_mul
             merged = dict(merged, **{"sigma_mul" if _logistic(merged) else "sigma": 1.0})
         params = _build_params(merged)
-        sigma = calibrate.calibrate_noise(params, grid, args.target_eps, float(delta), kind)
+        sigma = calibrate.calibrate_noise(params, grid, args.target_eps, delta, kind)
         solved = calibrate.with_sigma(params, sigma)
         record = {
             "solve": "sigma",
             "bound_kind": kind.value,
             "target_eps": args.target_eps,
-            "delta": float(delta),
+            "delta": delta,
             "sigma": sigma,
-            "eps_dp_at_sigma": calibrate.converted_eps(solved, grid, float(delta), kind),
+            "eps_dp_at_sigma": calibrate.converted_eps(solved, grid, delta, kind),
             "alpha_grid": grid,
             "params": _params_echo(solved),
         }
     else:
         params = _build_params(merged)
-        result = calibrate.max_epochs(params, grid, args.target_eps, float(delta), kind)
+        result = calibrate.max_epochs(params, grid, args.target_eps, delta, kind)
         record = {
             "solve": "epochs",
             "bound_kind": kind.value,
             "target_eps": args.target_eps,
-            "delta": float(delta),
+            "delta": delta,
             "max_epochs": "inf" if result is calibrate.MAXED_OUT else result,
             "alpha_grid": grid,
             "params": _params_echo(params),
@@ -271,8 +316,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    alphas = _parse_float_list(args.alpha, "--alpha")
-    epses = _parse_float_list(args.eps, "--eps")
+    alphas, epses = args.alpha, args.eps
     if len(alphas) != len(epses):
         raise AccountingError("--alpha and --eps must list the same number of values")
     source = Neighboring(args.source)
@@ -297,14 +341,14 @@ def _reference_params(merged: dict, epochs: int) -> AccountingParams:
         filled.update(beta=4.0, sensitivity=4.0)
         if merged.get("sigma_mul") is None:
             filled["sigma"] = 2.0
-    filled.update({k: v for k, v in merged.items() if v is not None})
+    filled.update(merged)
     filled["epochs"] = epochs
     return _build_params(filled)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # flags only: a --config file may still carry these keys for other subcommands
-    ignored = [f"--{k}" for k in ("epochs", "alpha", "delta") if getattr(args, k) is not None]
+    ignored = [_flag(k) for k in ("epochs", "alpha", "delta") if getattr(args, k) is not None]
     if ignored:
         raise AccountingError(
             f"verify does not read {', '.join(ignored)}: its suites set their own epochs and orders"
@@ -362,24 +406,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    """The --config file and one flag per CONFIG_KEYS entry, whose dest is that key."""
+    """The --config file and one flag per _PARAMS key, whose dest is that key."""
     sub.add_argument("--config", help="flat key = value config file; flags override it")
-    sub.add_argument("--n", type=int, help="dataset size")
-    sub.add_argument("--b", type=int, help="mini-batch size")
-    sub.add_argument("--eta", type=float, help="stepsize")
-    sub.add_argument("--epochs", type=int, help="number of epochs")
-    sub.add_argument("--sigma", type=float, help="noise scale (per-step variance 2*eta*sigma^2)")
-    sub.add_argument("--sigma-mul", dest="sigma_mul", type=float, help="implementation noise multiplier")
-    sub.add_argument("--lambda", dest="lambda", type=float, help="strong convexity constant (0 = convex)")
-    sub.add_argument("--beta", type=float, help="smoothness constant")
-    sub.add_argument("--sensitivity", type=float, help="gradient l2-sensitivity S_g")
-    sub.add_argument("--clip-feature", dest="clip_feature", type=float, help="feature clip norm (logistic derivation)")
-    sub.add_argument("--clip-gradient", dest="clip_gradient", type=float, help="unregularized-gradient clip norm (= S_g/2)")
-    sub.add_argument("--alpha", type=str, help="Renyi order or comma-separated list")
-    sub.add_argument("--delta", type=float, help="target delta for (eps, delta)-DP")
-    sub.add_argument("--neighboring", choices=[n.value for n in Neighboring], help="dataset adjacency notion")
-    sub.add_argument("--truncate-last-batch", dest="truncate_last_batch", action="store_true", default=None,
-                     help="ignore the tail batch when b does not divide n")
+    for key, spec in _PARAMS.items():
+        sub.add_argument(_flag(key), dest=key, **spec)
     sub.add_argument("--timestamp", action="store_true", help="add a timestamp field to JSON output")
 
 
@@ -422,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_conv = subparsers.add_parser("convert", help="RDP -> (eps, delta); neighboring translation")
-    p_conv.add_argument("--alpha", required=True, help="Renyi order(s), comma separated")
-    p_conv.add_argument("--eps", required=True, help="RDP eps value(s), comma separated")
+    p_conv.add_argument("--alpha", type=_float_list, required=True, help="Renyi order(s), comma separated")
+    p_conv.add_argument("--eps", type=_float_list, required=True, help="RDP eps value(s), comma separated")
     p_conv.add_argument("--delta", type=float, required=True)
     p_conv.add_argument("--from", dest="source", default="change_one",
                         choices=[n.value for n in Neighboring])

@@ -1,4 +1,4 @@
-"""Accounting inputs: validation, derived ratios, and config ingestion.
+"""Accounting inputs: validation and derived ratios.
 
 Every bound in the package reads its hyperparameters from a single frozen
 :class:`AccountingParams`. The noise convention follows the update rule
@@ -13,7 +13,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 from .numerics import contraction_log
@@ -24,7 +23,6 @@ __all__ = [
     "StepsizeTooLarge",
     "BatchCountTooSmall",
     "NonDividingBatch",
-    "ConfigError",
     "Neighboring",
     "AccountingParams",
     "RdpPoint",
@@ -33,8 +31,6 @@ __all__ = [
     "with_epochs",
     "with_sigma",
     "sigma_from_multiplier",
-    "load_config",
-    "CONFIG_KEYS",
 ]
 
 
@@ -56,10 +52,6 @@ class BatchCountTooSmall(AccountingError):
 
 class NonDividingBatch(AccountingError):
     """n mod b != 0 and truncate_last_batch is off."""
-
-
-class ConfigError(AccountingError):
-    """Malformed or unknown key in a config file."""
 
 
 class Neighboring(enum.Enum):
@@ -249,50 +241,3 @@ def sigma_from_multiplier(eta: float, b: int, s_g: float, sigma_mul: float) -> f
     _require_positive(eta=eta, b=b, sensitivity=s_g, sigma_mul=sigma_mul)
     return math.sqrt(eta / 2.0) * sigma_mul * s_g / (2.0 * b)
 
-
-CONFIG_KEYS = frozenset(
-    {
-        "n", "b", "eta", "epochs", "sigma", "sigma_mul", "lambda", "beta",
-        "sensitivity", "clip_feature", "clip_gradient", "alpha", "delta",
-        "neighboring", "truncate_last_batch",
-    }
-)
-
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
-
-
-def _parse_config_value(raw: str) -> Union[int, float, bool, str]:
-    text = raw.strip().strip('"').strip("'")
-    low = text.lower()
-    if low in _BOOL_WORDS:
-        return _BOOL_WORDS[low]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def load_config(path: Union[str, Path]) -> dict:
-    """Read a flat ``key = value`` config file.
-
-    Blank lines and ``#`` comments are ignored; keys must come from
-    CONFIG_KEYS. Values parse as int, float, bool, or bare/quoted string.
-    """
-    out: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _parse_config_value(raw)
-    return out

@@ -141,6 +141,18 @@ BAD_INPUTS = {
     # every verify suite sets its own epochs and orders
     "verify-epochs-alpha-delta": ("AccountingError: verify does not read --epochs, --alpha, --delta", (
         "verify", "--suite", "tightness", "--epochs", "3", "--alpha", "3", "--delta", "1e-5")),
+    "beta-with-clip-flags": (
+        "AccountingError: --beta conflicts with the --clip-feature/--clip-gradient/--sigma-mul", (
+            "bound", "--kind", "shuffle", *REF_FLAGS[:8], "--clip-feature", "1",
+            "--clip-gradient", "1", "--sigma-mul", "1", "--beta", "4", "--alpha", "10",
+            "--epochs", "4")),
+    # only kind fixed reads the batch index
+    "bound-j0-without-fixed": ("AccountingError: only kind fixed reads --j0", (
+        "bound", "--kind", "improved-last", *REF_FLAGS, "--alpha", "10", "--epochs", "4",
+        "--j0", "0")),
+    "curve-j0-without-fixed": ("AccountingError: only kind fixed reads --j0", (
+        "curve", "--kinds", "naive,sgm", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
+        "--j0", "0")),
 }
 
 
@@ -236,6 +248,84 @@ def test_config_file_with_flag_override(capsys, tmp_path, ref_params):
         capsys, "bound", "--kind", "naive", "--config", str(cfg), "--epochs", "20"
     )
     assert json.loads(out)["params"]["epochs"] == 20
+
+
+def test_config_round_trip(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "# reference setting\n"
+        "n = 50\n"
+        "b = 2\n"
+        "eta = 0.02\n"
+        "epochs = 40\n"
+        "sigma = 2.0\n"
+        "lambda = 1\n"
+        "beta = 4\n"
+        "sensitivity = 4\n"
+        'neighboring = "change_one"\n'
+        "truncate_last_batch = false\n"
+    )
+    code, out, err = run(capsys, "bound", "--kind", "naive", "--config", str(cfg), "--alpha", "10")
+    assert (code, err) == (0, "")
+    echo = json.loads(out)["params"]
+    assert echo["n"] == 50
+    assert echo["eta"] == 0.02
+    assert echo["neighboring"] == "change_one"
+    assert echo["truncate_last_batch"] is False
+    assert echo["m"] == 25
+
+
+def test_config_rejects_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("momentum = 0.9\n")
+    code, out, err = run(capsys, "bound", "--kind", "naive", *REF_FLAGS, "--alpha", "10",
+                         "--epochs", "4", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"ConfigError: {cfg}:1: unknown key 'momentum'\n"
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "absent.cfg"
+    code, out, err = run(capsys, "bound", "--kind", "naive", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"ConfigError: {cfg}: No such file or directory\n"
+
+
+REF_CONFIG = "".join(f"{flag[2:]} = {value}\n" for flag, value in zip(REF_FLAGS[::2], REF_FLAGS[1::2]))
+
+
+@pytest.mark.parametrize("line", [
+    "n = 50.7", "b = 2.5", "epochs = 3.9", "lambda = true", "truncate_last_batch = maybe",
+    "neighboring = bogus",
+])
+def test_config_value_its_flag_refuses_exits_2(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# reference setting\n{line}\n{REF_CONFIG}")
+    argv = ("bound", "--kind", "naive", "--alpha", "10", "--epochs", "4")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    key, _, value = line.partition(" = ")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ConfigError: {cfg}:2: {key}: "), err
+    if key != "truncate_last_batch":  # the one flag that takes no value
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *REF_FLAGS, f"--{key}={value}"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--kind", "shuffle", "--alpha", "10", "--epochs", "40", "--delta", "1e-5"),
+    ("curve", "--kinds", "improved-last,sgm", "--alpha", "10,30", "--epochs-max", "3"),
+    ("calibrate", "--kind", "naive", "--epochs", "10", "--target-eps", "3", "--delta", "1e-5",
+     "--alpha", "2,8"),
+    ("verify", "--suite", "tightness"),
+], ids=lambda argv: argv[0])
+def test_config_prints_the_bytes_of_its_flags(capsys, tmp_path, argv):
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text(REF_CONFIG)
+    code, via_flags, _ = run(capsys, *argv, *REF_FLAGS)
+    assert code == 0
+    assert run(capsys, *argv, "--config", str(cfg)) == (0, via_flags, "")
 
 
 def test_convert_command(capsys):
@@ -419,7 +509,7 @@ def test_public_surface():
         "Unsatisfiable", "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
         "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
         "convert", "converted_eps", "corollary_logistic_bound", "dynamics", "eps0_term",
-        "evaluate_bound", "exact_renyi", "gaussian_law", "load_config", "logistic_params",
+        "evaluate_bound", "exact_renyi", "gaussian_law", "logistic_params",
         "make_instance", "make_params", "max_epochs", "mixing_diffusion_first_batch",
         "mixing_diffusion_last_batch", "numerics", "oracle", "params", "rdp_to_dp",
         "samp_wo_limit", "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",
@@ -637,30 +727,42 @@ def _flags(values: dict) -> list[str]:
     return [f"--{key}={value}" for key, value in values.items()]
 
 
-FUZZ_ARGV = st.one_of(
+# (argv without the param flags, the param values)
+FUZZ_COMMANDS = st.one_of(
     st.tuples(st.sampled_from([k.value for k in BoundKind]), PARAM_FLAGS,
               st.integers(-1, 25)).map(
-        lambda t: ["bound", f"--kind={t[0]}", *_flags(t[1]), f"--j0={t[2]}"]),
+        lambda t: (["bound", f"--kind={t[0]}", *([f"--j0={t[2]}"] if t[0] == "fixed" else [])],
+                   t[1])),
     st.tuples(st.sampled_from([k.value for k in BoundKind if k is not BoundKind.FIXED]),
               st.sampled_from(["sigma", "epochs"]), PARAM_FLAGS,
               _maybe(3.0, EXTREME_FLOATS)).map(
-        lambda t: ["calibrate", f"--kind={t[0]}", f"--solve={t[1]}", *_flags(t[2]),
-                   f"--target-eps={t[3]}"]),
+        lambda t: (["calibrate", f"--kind={t[0]}", f"--solve={t[1]}", f"--target-eps={t[3]}"],
+                   t[2])),
     st.tuples(_float_list("10"), _float_list("0.05"), _maybe(1e-5, EXTREME_FLOATS),
               st.sampled_from([n.value for n in Neighboring])).map(
-        lambda t: ["convert", f"--alpha={t[0]}", f"--eps={t[1]}", f"--delta={t[2]}",
-                   f"--from={t[3]}"]),
+        lambda t: (["convert", f"--alpha={t[0]}", f"--eps={t[1]}", f"--delta={t[2]}",
+                    f"--from={t[3]}"], {})),
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=FUZZ_ARGV)
-def test_fuzzed_flag_values_exit_0_or_2(argv):
+def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2), (argv, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=FUZZ_COMMANDS)
+def test_fuzzed_flag_values_exit_0_or_2(tmp_path_factory, command):
+    argv, values = command
+    code, out, err = _run_quietly([*argv, *_flags(values)])
+    if values:
+        # the same values as --config lines are read as their flags read them
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert _run_quietly([*argv, f"--config={cfg}"]) == (code, out, err)
+    assert code in (0, 2), (argv, values, err)
     if code == 2:
         assert out == ""
         assert len(err.splitlines()) == 1, err

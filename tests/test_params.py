@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from privdyn import (
     AccountingError,
     BatchCountTooSmall,
-    Neighboring,
     NonDividingBatch,
     NonPositive,
     StepsizeTooLarge,
-    load_config,
     make_params,
     sigma_from_multiplier,
     validate,
@@ -139,41 +137,6 @@ def test_geometric_sum_direct_summation_large_j(ref_params):
         if power == 0.0:
             break
     assert geometric_sum_params(ref_params, 10**6) == pytest.approx(total, rel=1e-12)
-
-
-def test_load_config_round_trip(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# reference setting\n"
-        "n = 50\n"
-        "b = 2\n"
-        "eta = 0.02\n"
-        "epochs = 40\n"
-        "sigma = 2.0\n"
-        "lambda = 1\n"
-        "beta = 4\n"
-        "sensitivity = 4\n"
-        'neighboring = "change_one"\n'
-        "truncate_last_batch = false\n"
-    )
-    merged = load_config(cfg)
-    assert merged["n"] == 50
-    assert merged["eta"] == pytest.approx(0.02)
-    assert merged["neighboring"] == "change_one"
-    assert merged["truncate_last_batch"] is False
-    p = make_params(
-        n=merged["n"], b=merged["b"], eta=merged["eta"], epochs=merged["epochs"],
-        sigma=merged["sigma"], lam=merged["lambda"], beta=merged["beta"],
-        s_g=merged["sensitivity"], neighboring=Neighboring(merged["neighboring"]),
-    )
-    assert p.m == 25
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("momentum = 0.9\n")
-    with pytest.raises(AccountingError):
-        load_config(cfg)
 
 
 @pytest.mark.parametrize("field", ["eta", "sigma", "lam", "beta", "s_g"])
