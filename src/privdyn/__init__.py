@@ -6,7 +6,6 @@ from .params import (
     AccountingError,
     AccountingParams,
     BatchCountTooSmall,
-    Neighboring,
     NonDividingBatch,
     NonPositive,
     RdpPoint,
@@ -41,6 +40,7 @@ from .convert import (
     DpGuarantee,
     EmptyInput,
     InvalidDelta,
+    Neighboring,
     corollary_logistic_bound,
     logistic_params,
     rdp_to_dp,

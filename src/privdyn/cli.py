@@ -12,7 +12,6 @@ unless --timestamp is passed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -23,13 +22,8 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 from . import baselines, calibrate, convert, oracle
 from .calibrate import BoundKind
-from .params import (
-    AccountingError,
-    AccountingParams,
-    Neighboring,
-    make_params,
-    sigma_from_multiplier,
-)
+from .convert import Neighboring
+from .params import AccountingError, AccountingParams, sigma_from_multiplier
 
 __all__ = ["main"]
 
@@ -51,6 +45,13 @@ def _kind(name: str, flag: str) -> BoundKind:
 def _refuse_unread_j0(j0: Optional[int], kinds: list[BoundKind]) -> None:
     if j0 is not None and BoundKind.FIXED not in kinds:
         raise AccountingError("only kind fixed reads --j0, and no requested kind is fixed")
+
+
+def _refuse_unread_flags(args: argparse.Namespace, keys: tuple[str, ...], why: str) -> None:
+    """Refuse param flags the subcommand does not read; a --config file may carry their keys."""
+    unread = [_flag(k) for k in keys if getattr(args, k) is not None]
+    if unread:
+        raise AccountingError(f"{args.command} does not read {', '.join(unread)}: {why}")
 
 
 def _float_list(raw: str) -> list[float]:
@@ -80,7 +81,6 @@ _PARAMS: dict[str, dict] = {
     "clip_gradient": {"type": float, "help": "unregularized-gradient clip norm (= S_g/2)"},
     "alpha": {"type": _float_list, "help": "Renyi order or comma-separated list"},
     "delta": {"type": float, "help": "target delta for (eps, delta)-DP"},
-    "neighboring": {"choices": [n.value for n in Neighboring], "help": "dataset adjacency notion"},
     "truncate_last_batch": {"action": "store_true", "default": None,
                             "help": "ignore the tail batch when b does not divide n"},
 }
@@ -158,7 +158,6 @@ def _build_params(merged: dict) -> AccountingParams:
         lam=merged.get("lambda", 0.0),
         truncate_last_batch=merged.get("truncate_last_batch", False),
     )
-    neighboring = Neighboring(merged.get("neighboring", "change_one"))
     if _logistic(merged):
         derivation = ("clip_feature", "clip_gradient", "sigma_mul")
         _require(merged, *derivation)
@@ -167,11 +166,10 @@ def _build_params(merged: dict) -> AccountingParams:
                 raise AccountingError(
                     f"{_flag(k)} conflicts with the {'/'.join(map(_flag, derivation))} derivation"
                 )
-        params = convert.logistic_params(
+        return convert.logistic_params(
             **common, l_feat=merged["clip_feature"], grad_clip=merged["clip_gradient"],
             sigma_mul=merged["sigma_mul"],
         )
-        return dataclasses.replace(params, neighboring=neighboring)
     _require(merged, "beta", "sensitivity")
     sigma = merged.get("sigma")
     if sigma is not None and merged.get("sigma_mul") is not None:
@@ -182,9 +180,8 @@ def _build_params(merged: dict) -> AccountingParams:
         sigma = sigma_from_multiplier(
             merged["eta"], merged["b"], merged["sensitivity"], merged["sigma_mul"]
         )
-    return make_params(
+    return AccountingParams(
         **common, sigma=sigma, beta=merged["beta"], s_g=merged["sensitivity"],
-        neighboring=neighboring,
     )
 
 
@@ -198,7 +195,6 @@ def _params_echo(params: AccountingParams) -> dict:
         "lambda": params.lam,
         "beta": params.beta,
         "sensitivity": params.s_g,
-        "neighboring": params.neighboring.value,
         "truncate_last_batch": params.truncate_last_batch,
         "m": params.m,
         "r": params.r,
@@ -210,7 +206,7 @@ def _emit(record: dict, args: argparse.Namespace) -> None:
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, list) else [value])):
             raise AccountingError(f"{key} = {value!r} is not finite and cannot be written as JSON")
-    if getattr(args, "timestamp", False):
+    if args.timestamp:
         record["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     print(json.dumps(record, sort_keys=True, allow_nan=False))
 
@@ -238,7 +234,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     delta = merged.get("delta")
     if delta is not None:
         points = [convert.RdpPoint(alpha=a, eps=e) for a, e in zip(alphas, eps_values)]
-        guarantee = convert.rdp_to_dp(points, delta, params.neighboring)
+        guarantee = convert.rdp_to_dp(points, delta)
         record["delta"] = delta
         record["eps_dp"] = guarantee.eps
         record["alpha_star"] = guarantee.alpha_star
@@ -247,6 +243,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    _refuse_unread_flags(args, ("delta",), "curves print RDP eps")
     merged = _merged_options(args)
     if args.epochs_max is not None:
         merged["epochs"] = args.epochs_max
@@ -319,11 +316,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     alphas, epses = args.alpha, args.eps
     if len(alphas) != len(epses):
         raise AccountingError("--alpha and --eps must list the same number of values")
-    source = Neighboring(args.source)
     points = [convert.RdpPoint(alpha=a, eps=e) for a, e in zip(alphas, epses)]
-    guarantee = convert.rdp_to_dp(points, args.delta, source)
-    target = Neighboring(args.target) if args.target else source
-    guarantee = convert.translate_neighboring(guarantee, source, target)
+    guarantee = convert.rdp_to_dp(points, args.delta, Neighboring(args.source))
+    if args.target:
+        guarantee = convert.translate_neighboring(guarantee, Neighboring(args.target))
     record = {
         "eps_dp": guarantee.eps,
         "delta": guarantee.delta,
@@ -347,12 +343,8 @@ def _reference_params(merged: dict, epochs: int) -> AccountingParams:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # flags only: a --config file may still carry these keys for other subcommands
-    ignored = [_flag(k) for k in ("epochs", "alpha", "delta") if getattr(args, k) is not None]
-    if ignored:
-        raise AccountingError(
-            f"verify does not read {', '.join(ignored)}: its suites set their own epochs and orders"
-        )
+    _refuse_unread_flags(args, ("epochs", "alpha", "delta"),
+                         "its suites set their own epochs and orders")
     merged = _merged_options(args)
     suites = ("tightness", "dominance") if args.suite == "all" else (args.suite,)
     failures = 0
@@ -410,7 +402,6 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file; flags override it")
     for key, spec in _PARAMS.items():
         sub.add_argument(_flag(key), dest=key, **spec)
-    sub.add_argument("--timestamp", action="store_true", help="add a timestamp field to JSON output")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -459,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[n.value for n in Neighboring])
     p_conv.add_argument("--to", dest="target", default=None,
                         choices=[n.value for n in Neighboring])
-    p_conv.add_argument("--timestamp", action="store_true")
     p_conv.set_defaults(func=_cmd_convert)
 
     p_ver = subparsers.add_parser("verify", help="run the oracle verification suites")
@@ -467,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all",
                        choices=("tightness", "dominance", "all"))
     p_ver.set_defaults(func=_cmd_verify)
+    for sub in (p_bound, p_cal, p_conv, p_ver):  # the subcommands that print JSON
+        sub.add_argument("--timestamp", action="store_true", help="add a timestamp field to JSON output")
     return parser
 
 

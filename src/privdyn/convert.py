@@ -3,6 +3,7 @@ regularized-logistic-regression parameter derivations."""
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -10,10 +11,8 @@ from typing import Iterable
 from .params import (
     AccountingError,
     AccountingParams,
-    Neighboring,
     NonPositive,
     RdpPoint,
-    make_params,
     sigma_from_multiplier,
 )
 from .sampling import bound_shuffle
@@ -21,6 +20,7 @@ from .sampling import bound_shuffle
 __all__ = [
     "EmptyInput",
     "InvalidDelta",
+    "Neighboring",
     "DpGuarantee",
     "DEFAULT_ALPHA_GRID",
     "rdp_to_dp",
@@ -45,6 +45,13 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (
     128.0,
     256.0,
 )
+
+
+class Neighboring(enum.Enum):
+    """Dataset adjacency of a guarantee; the bounds hold under change-one."""
+
+    CHANGE_ONE = "change_one"
+    REMOVE_ONE = "remove_one"
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,18 +100,14 @@ def rdp_to_dp(
     )
 
 
-def translate_neighboring(
-    guarantee: DpGuarantee, source: Neighboring, target: Neighboring
-) -> DpGuarantee:
-    """Translate a guarantee between neighboring notions at equal delta.
+def translate_neighboring(guarantee: DpGuarantee, target: Neighboring) -> DpGuarantee:
+    """Translate a guarantee from its own neighboring notion to ``target`` at equal delta.
 
     remove-one -> change-one doubles eps (replacing a record is a removal
     plus an insertion); change-one -> remove-one is the identity (we never
     shrink a reported eps); same-notion is the identity.
     """
-    if source is target:
-        return replace(guarantee, neighboring=target)
-    if source is Neighboring.REMOVE_ONE and target is Neighboring.CHANGE_ONE:
+    if guarantee.neighboring is Neighboring.REMOVE_ONE and target is Neighboring.CHANGE_ONE:
         return replace(guarantee, eps=2.0 * guarantee.eps, neighboring=target)
     return replace(guarantee, neighboring=target)
 
@@ -137,7 +140,7 @@ def logistic_params(
     if not grad_clip > 0:
         raise NonPositive(f"gradient clip norm must be positive, got {grad_clip!r}")
     s_g = 2.0 * grad_clip
-    return make_params(
+    return AccountingParams(
         n=n,
         b=b,
         eta=eta,

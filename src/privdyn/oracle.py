@@ -21,7 +21,7 @@ from typing import Literal, Optional
 
 from .dynamics import _check_alpha, bound_fixed
 from .numerics import logsumexp
-from .params import AccountingError, AccountingParams, make_params
+from .params import AccountingError, AccountingParams
 from .sampling import bound_shuffle
 
 __all__ = [
@@ -126,7 +126,7 @@ class OracleInstance:
 
     def accounting_params(self, beta: Optional[float] = None) -> AccountingParams:
         """Matching bound inputs; beta defaults to the quadratic's own lam."""
-        return make_params(
+        return AccountingParams(
             n=self.n,
             b=self.b,
             eta=self.eta,
@@ -237,7 +237,8 @@ def verify_dominance(
     kind "fixed" compares against the fixed-batch bound at the instance's own
     j0. kind "shuffle" treats the instance as a template: the exact values for
     all m placements of the differing record are combined with the log-mean-exp
-    that forms the shuffle tail, and compared to the shuffle bound.
+    that forms the shuffle tail, and compared to the shuffle bound. The check
+    allows a slack down to -slack_tol, times the bound when the bound exceeds 1.
     """
     _check_alpha(alpha)
     params = instance.accounting_params(beta=beta)
@@ -257,7 +258,7 @@ def verify_dominance(
     else:
         raise AccountingError(f"unknown dominance kind {bound_kind!r}")
     report = DominanceReport(kind=bound_kind, alpha=alpha, exact=exact, bound=bound)
-    if report.slack < -slack_tol:
+    if report.slack < -slack_tol * max(1.0, bound):
         raise DominanceViolated(
             f"exact {exact} exceeds bound {bound} (slack {report.slack})"
         )

@@ -9,7 +9,6 @@ Gaussian noise has variance ``2*eta*sigma^2``.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ __all__ = [
     "StepsizeTooLarge",
     "BatchCountTooSmall",
     "NonDividingBatch",
-    "Neighboring",
     "AccountingParams",
     "RdpPoint",
     "make_params",
@@ -54,11 +52,6 @@ class NonDividingBatch(AccountingError):
     """n mod b != 0 and truncate_last_batch is off."""
 
 
-class Neighboring(enum.Enum):
-    CHANGE_ONE = "change_one"
-    REMOVE_ONE = "remove_one"
-
-
 @dataclass(frozen=True, slots=True)
 class AccountingParams:
     """Full hyperparameter tuple shared by every bound.
@@ -67,10 +60,10 @@ class AccountingParams:
     epoch count ``epochs``, noise scale ``sigma`` (per-step noise variance
     2*eta*sigma^2), the loss regularity (``lam == 0`` convex, ``lam > 0``
     lam-strongly convex; beta-smooth; per-example gradient l2-sensitivity
-    ``s_g``), neighboring notion, and the explicit opt-in for ignoring a
-    non-dividing tail batch. Every construction, ``dataclasses.replace``
-    included, runs :func:`validate`, so a params object that exists is a
-    valid one.
+    ``s_g``), and the explicit opt-in for ignoring a non-dividing tail
+    batch. Fields are stored as given: every construction,
+    ``dataclasses.replace`` included, runs :func:`validate`, which refuses a
+    field of the wrong type, so a params object that exists is a valid one.
     """
 
     n: int
@@ -81,7 +74,6 @@ class AccountingParams:
     lam: float
     beta: float
     s_g: float
-    neighboring: Neighboring = Neighboring.CHANGE_ONE
     truncate_last_batch: bool = False
 
     def __post_init__(self) -> None:
@@ -143,16 +135,24 @@ def validate(params: AccountingParams) -> AccountingParams:
     Runs once per construction, from AccountingParams.__post_init__; the
     bounds never re-check. Idempotent. Raises NonPositive,
     BatchCountTooSmall, NonDividingBatch, StepsizeTooLarge, or
-    AccountingError for a non-finite field or an eps1 coefficient that is
-    not a positive normal float64; derived quantities (m, r, eps1_coeff, q)
-    are exposed as properties of the returned object.
+    AccountingError for a field of the wrong type (a bool is no number), a
+    non-finite field or an eps1 coefficient that is not a positive normal
+    float64; derived quantities (m, r, eps1_coeff, q) are exposed as
+    properties of the returned object.
     """
+    for name, value in (("n", params.n), ("b", params.b), ("epochs", params.epochs)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise AccountingError(f"{name} must be an int, got {value!r}")
     for name, value in (
         ("eta", params.eta), ("sigma", params.sigma), ("lambda", params.lam),
         ("beta", params.beta), ("sensitivity", params.s_g),
     ):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise AccountingError(f"{name} must be an int or a float, got {value!r}")
         if not math.isfinite(value):
             raise AccountingError(f"{name} must be finite, got {value!r}")
+    if not isinstance(params.truncate_last_batch, bool):
+        raise AccountingError(f"truncate_last_batch must be a bool, got {params.truncate_last_batch!r}")
     _require_positive(
         n=params.n, b=params.b, eta=params.eta, sigma=params.sigma,
         beta=params.beta, sensitivity=params.s_g,
@@ -196,39 +196,15 @@ def validate(params: AccountingParams) -> AccountingParams:
     return params
 
 
-def make_params(
-    n: int,
-    b: int,
-    eta: float,
-    epochs: int,
-    sigma: float,
-    lam: float,
-    beta: float,
-    s_g: float,
-    neighboring: Neighboring = Neighboring.CHANGE_ONE,
-    truncate_last_batch: bool = False,
-) -> AccountingParams:
-    """Build (and so validate) an AccountingParams from scalars."""
-    return AccountingParams(
-        n=int(n),
-        b=int(b),
-        eta=float(eta),
-        epochs=int(epochs),
-        sigma=float(sigma),
-        lam=float(lam),
-        beta=float(beta),
-        s_g=float(s_g),
-        neighboring=neighboring,
-        truncate_last_batch=truncate_last_batch,
-    )
+make_params = AccountingParams  # the constructor's library name
 
 
 def with_epochs(params: AccountingParams, epochs: int) -> AccountingParams:
-    return dataclasses.replace(params, epochs=int(epochs))
+    return dataclasses.replace(params, epochs=epochs)
 
 
 def with_sigma(params: AccountingParams, sigma: float) -> AccountingParams:
-    return dataclasses.replace(params, sigma=float(sigma))
+    return dataclasses.replace(params, sigma=sigma)
 
 
 def sigma_from_multiplier(eta: float, b: int, s_g: float, sigma_mul: float) -> float:

@@ -204,11 +204,9 @@ def test_criterion_09_conversion_and_calibration():
             assert achieved <= 3.0
             assert achieved == pytest.approx(3.0, rel=1e-3)
         g = DpGuarantee(eps=3.0, delta=1e-5, neighboring=Neighboring.REMOVE_ONE, alpha_star=10)
-        doubled = translate_neighboring(g, Neighboring.REMOVE_ONE, Neighboring.CHANGE_ONE)
+        doubled = translate_neighboring(g, Neighboring.CHANGE_ONE)
         assert doubled.eps == 6.0
-        assert translate_neighboring(
-            doubled, Neighboring.CHANGE_ONE, Neighboring.CHANGE_ONE
-        ).eps == 6.0
+        assert translate_neighboring(doubled, Neighboring.CHANGE_ONE).eps == 6.0
 
 
 def test_criterion_10_gaussian_law():

@@ -153,13 +153,23 @@ BAD_INPUTS = {
     "curve-j0-without-fixed": ("AccountingError: only kind fixed reads --j0", (
         "curve", "--kinds", "naive,sgm", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
         "--j0", "0")),
+    # curves print RDP eps, and CSV has no timestamp field
+    "curve-delta": ("AccountingError: curve does not read --delta", (
+        "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
+        "--delta", "1e-5")),
+    "curve-timestamp": ("InputError: unrecognized arguments: --timestamp", (
+        "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
+        "--timestamp")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_validation_error_exits_2_with_error_name(capsys, case):
     name, argv = BAD_INPUTS[case]
-    code, out, err = run(capsys, *argv)
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:  # argparse refused a flag
+        code, (out, err) = exc.code, capsys.readouterr()
     assert code == 2
     assert name in err
     assert out == ""
@@ -262,7 +272,6 @@ def test_config_round_trip(capsys, tmp_path):
         "lambda = 1\n"
         "beta = 4\n"
         "sensitivity = 4\n"
-        'neighboring = "change_one"\n'
         "truncate_last_batch = false\n"
     )
     code, out, err = run(capsys, "bound", "--kind", "naive", "--config", str(cfg), "--alpha", "10")
@@ -270,7 +279,6 @@ def test_config_round_trip(capsys, tmp_path):
     echo = json.loads(out)["params"]
     assert echo["n"] == 50
     assert echo["eta"] == 0.02
-    assert echo["neighboring"] == "change_one"
     assert echo["truncate_last_batch"] is False
     assert echo["m"] == 25
 
@@ -282,6 +290,19 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
                          "--epochs", "4", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == f"ConfigError: {cfg}:1: unknown key 'momentum'\n"
+
+
+def test_neighboring_is_neither_a_config_key_nor_a_flag(capsys, tmp_path):
+    # every bound holds under change-one; only convert takes a notion (--from, --to)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# reference setting\nneighboring = change_one\n")
+    argv = ("bound", "--kind", "naive", *REF_FLAGS, "--alpha", "10", "--epochs", "4")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"ConfigError: {cfg}:2: unknown key 'neighboring'\n"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--neighboring", "change_one"])
+    assert exc.value.code == 2
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -296,7 +317,6 @@ REF_CONFIG = "".join(f"{flag[2:]} = {value}\n" for flag, value in zip(REF_FLAGS[
 
 @pytest.mark.parametrize("line", [
     "n = 50.7", "b = 2.5", "epochs = 3.9", "lambda = true", "truncate_last_batch = maybe",
-    "neighboring = bogus",
 ])
 def test_config_value_its_flag_refuses_exits_2(capsys, tmp_path, line):
     cfg = tmp_path / "run.cfg"
@@ -408,6 +428,15 @@ def test_verify_tightness_at_tiny_eta(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tightness", "--eta", "1e-200")
     assert code == 0
     assert out.splitlines()[-1] == '{"failures": 0}'
+
+
+def test_verify_all_at_tiny_sigma(capsys):
+    # bounds near 1e21, where an absolute 1e-12 slack is below float resolution
+    code, out, err = run(capsys, "verify", "--suite", "all", "--sigma", "1e-12")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[-1] == {"failures": 0}
+    assert max(r["report"]["bound"] for r in records[:-1]) > 1e20
 
 
 def test_verify_defaults_yield_to_sigma_mul(capsys):
@@ -631,6 +660,8 @@ README_FLAGS = [
 # at or above the 50-digit value 0.0154590461519436174. calibrate_sigma.txt
 # was re-recorded when each order got solved alone to a relative 1e-10: its
 # sigma moved down, toward the exact minimum, from PREVIOUS_GOLDEN_SIGMA.
+# bound.txt and both calibrate goldens lost the "neighboring" key of their
+# params echo when params stopped carrying a neighboring notion.
 PREVIOUS_GOLDEN_SIGMA = 0.3175492905026391
 README_EXAMPLES = {
     "bound": ("bound", "--kind", "shuffle", *README_FLAGS, "--sigma", "2",

@@ -67,13 +67,13 @@ def test_rdp_to_dp_skips_orders_without_a_bound():
 
 def test_translate_neighboring_doubles_once():
     g = DpGuarantee(eps=3.0, delta=1e-5, neighboring=Neighboring.REMOVE_ONE, alpha_star=10)
-    changed = translate_neighboring(g, Neighboring.REMOVE_ONE, Neighboring.CHANGE_ONE)
+    changed = translate_neighboring(g, Neighboring.CHANGE_ONE)
     assert changed.eps == 6.0
     assert changed.neighboring is Neighboring.CHANGE_ONE
     # the second hop is the identity: no silent compounding
-    again = translate_neighboring(changed, Neighboring.CHANGE_ONE, Neighboring.CHANGE_ONE)
+    again = translate_neighboring(changed, Neighboring.CHANGE_ONE)
     assert again.eps == 6.0
-    conservative = translate_neighboring(changed, Neighboring.CHANGE_ONE, Neighboring.REMOVE_ONE)
+    conservative = translate_neighboring(changed, Neighboring.REMOVE_ONE)
     assert conservative.eps == 6.0
     assert conservative.neighboring is Neighboring.REMOVE_ONE
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from privdyn import (
     AccountingError,
+    AccountingParams,
     BatchCountTooSmall,
     NonDividingBatch,
     NonPositive,
@@ -168,3 +169,34 @@ def test_every_construction_validates(ref_params):
         with_sigma(ref_params, math.inf)
     with pytest.raises(NonPositive):
         with_epochs(ref_params, -1)
+
+
+REF_FIELDS = dict(n=50, b=2, eta=0.02, epochs=3, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
+
+
+def test_make_params_is_the_constructor():
+    assert make_params is AccountingParams
+    assert [f.name for f in dataclasses.fields(AccountingParams)] == [
+        "n", "b", "eta", "epochs", "sigma", "lam", "beta", "s_g", "truncate_last_batch",
+    ]
+    # stored as given: an int real stays an int, and equals its float
+    p = make_params(**dict(REF_FIELDS, sigma=2))
+    assert type(p.sigma) is int
+    assert p == make_params(**REF_FIELDS)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: make_params(**dict(REF_FIELDS, n=50.7)), "n"),
+    (lambda: make_params(**dict(REF_FIELDS, epochs=3.9)), "epochs"),
+    (lambda: with_epochs(make_params(**REF_FIELDS), 2.5), "epochs"),
+    (lambda: make_params(**dict(REF_FIELDS, n=51, truncate_last_batch="no")), "truncate_last_batch"),
+    (lambda: make_params(**dict(REF_FIELDS, n=True)), "n"),
+    (lambda: make_params(**dict(REF_FIELDS, lam="1")), "lambda"),
+    (lambda: make_params(**dict(REF_FIELDS, b=2.0)), "b"),
+    (lambda: make_params(**dict(REF_FIELDS, beta=True)), "beta"),
+    (lambda: with_sigma(make_params(**REF_FIELDS), "2"), "sigma"),
+], ids=["n-float", "epochs-float", "with-epochs-float", "truncate-str", "n-bool", "lam-str",
+        "b-integral-float", "beta-bool", "with-sigma-str"])
+def test_wrong_field_type_is_refused_by_name(build, field):
+    with pytest.raises(AccountingError, match=f"^{field} must be "):
+        build()
