@@ -40,11 +40,9 @@ from .convert import (
     DpGuarantee,
     EmptyInput,
     InvalidDelta,
-    Neighboring,
     corollary_logistic_bound,
     logistic_params,
     rdp_to_dp,
-    translate_neighboring,
 )
 from .calibrate import (
     MAXED_OUT,

@@ -161,15 +161,15 @@ def _check_target(target_eps: float) -> None:
         raise AccountingError(f"target_eps must be positive and finite, got {target_eps!r}")
 
 
-def _ranked(points: Sequence[RdpPoint], log_term: float, target_eps: float) -> list[int]:
+def _ranked(points: Sequence[RdpPoint], delta: float, target_eps: float) -> list[int]:
     """Indices of the orders that leave room under the target, smallest eps per unit of room first.
 
-    An order's room is target - ln(1/delta)/(alpha-1); one with negative room
-    never meets the target, since eps >= 0.
+    An order's room is the target less its converted eps at RDP eps 0; one
+    with negative room never meets the target, since eps >= 0.
     """
     keyed = []
     for index, pt in enumerate(points):
-        room = target_eps - log_term / (pt.alpha - 1.0)
+        room = target_eps - _converted(pt.alpha, 0.0, delta)
         if room >= 0:
             keyed.append((pt.eps / room if room > 0 else math.inf, index))
     return [index for _, index in sorted(keyed)]
@@ -200,13 +200,12 @@ def calibrate_noise(
     points = [RdpPoint(alpha=a, eps=family.eps(at_lo, a)) for a in alpha_grid]
     if rdp_to_dp(points, delta).eps <= target_eps:
         return lo
-    log_term = math.log(1.0 / delta)
 
     def fits(at: AccountingParams, alpha: float) -> bool:
-        return _converted(alpha, family.eps(at, alpha), log_term) <= target_eps
+        return _converted(alpha, family.eps(at, alpha), delta) <= target_eps
 
     best, at_best, found = hi, with_sigma(params, hi), False
-    for index in _ranked(points, log_term, target_eps):
+    for index in _ranked(points, delta, target_eps):
         alpha = points[index].alpha
         if not fits(at_best, alpha):
             continue
@@ -288,13 +287,12 @@ def max_epochs(
     finite = [p for p in limit_points if math.isfinite(p.eps)]
     if finite and rdp_to_dp(finite, delta).eps <= target_eps:
         return MAXED_OUT
-    log_term = math.log(1.0 / delta)
     best, at_next = 0, None  # at_next: params at best + 1, once best >= 1
-    for index in _ranked(points, log_term, target_eps):
+    for index in _ranked(points, delta, target_eps):
         alpha = points[index].alpha
 
         def fits_eps(eps: float) -> bool:
-            return _converted(alpha, eps, log_term) <= target_eps
+            return _converted(alpha, eps, delta) <= target_eps
 
         if not fits_eps(points[index].eps):
             continue

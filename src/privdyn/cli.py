@@ -2,7 +2,8 @@
 
 Subcommands: bound (one JSON record), curve (k,eps CSV streams for
 plotting), calibrate (solve for sigma or epochs), convert (RDP ->
-(eps, delta) and neighboring translation), verify (oracle suites).
+(eps, delta)), verify (oracle suites). Every guarantee is change-one: it
+holds for datasets that differ by replacing one record.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 141 stdout
 closed early (128 + SIGPIPE). Identical flags produce byte-identical output
@@ -22,7 +23,6 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 from . import baselines, calibrate, convert, oracle
 from .calibrate import BoundKind
-from .convert import Neighboring
 from .params import AccountingError, AccountingParams, sigma_from_multiplier
 
 __all__ = ["main"]
@@ -255,21 +255,28 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     epochs_max = params.epochs
     if epochs_max < 1:
         raise AccountingError("--epochs-max must be >= 1 for curves")
+    curves: dict[str, tuple[BoundKind, float]] = {}
+    for kind in kinds:
+        for alpha in alphas:
+            # a label names one header and one file, so a repeat would overwrite a curve
+            label = f"kind={kind.value} alpha={alpha:g}"
+            if label in curves:
+                raise AccountingError(f"--kinds and --alpha ask for the curve {label} more than once")
+            curves[label] = kind, alpha
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for kind in kinds:
-        for alpha in alphas:
-            values = kind.at(args.j0).curve(params, alpha)
-            rows = [f"{k},{_fmt(v)}" for k, v in enumerate(values, start=1)]
-            body = "k,eps\n" + "\n".join(rows) + "\n"
-            if out_dir is None:
-                print(f"# kind={kind.value} alpha={alpha:g}")
-                sys.stdout.write(body)
-            else:
-                name = f"{kind.value}_a={alpha:g}_k={epochs_max}.csv"
-                (out_dir / name).write_text(body)
-                print(f"# wrote {out_dir / name}")
+    for label, (kind, alpha) in curves.items():
+        values = kind.at(args.j0).curve(params, alpha)
+        rows = [f"{k},{_fmt(v)}" for k, v in enumerate(values, start=1)]
+        body = "k,eps\n" + "\n".join(rows) + "\n"
+        if out_dir is None:
+            print(f"# {label}")
+            sys.stdout.write(body)
+        else:
+            name = f"{kind.value}_a={alpha:g}_k={epochs_max}.csv"
+            (out_dir / name).write_text(body)
+            print(f"# wrote {out_dir / name}")
     return 0
 
 
@@ -317,14 +324,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if len(alphas) != len(epses):
         raise AccountingError("--alpha and --eps must list the same number of values")
     points = [convert.RdpPoint(alpha=a, eps=e) for a, e in zip(alphas, epses)]
-    guarantee = convert.rdp_to_dp(points, args.delta, Neighboring(args.source))
-    if args.target:
-        guarantee = convert.translate_neighboring(guarantee, Neighboring(args.target))
+    guarantee = convert.rdp_to_dp(points, args.delta)
     record = {
         "eps_dp": guarantee.eps,
         "delta": guarantee.delta,
         "alpha_star": guarantee.alpha_star,
-        "neighboring": guarantee.neighboring.value,
     }
     _emit(record, args)
     return 0
@@ -442,14 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--solve", choices=("sigma", "epochs"), default="sigma")
     p_cal.set_defaults(func=_cmd_calibrate)
 
-    p_conv = subparsers.add_parser("convert", help="RDP -> (eps, delta); neighboring translation")
+    p_conv = subparsers.add_parser("convert", help="RDP -> (eps, delta); every guarantee is change-one")
     p_conv.add_argument("--alpha", type=_float_list, required=True, help="Renyi order(s), comma separated")
     p_conv.add_argument("--eps", type=_float_list, required=True, help="RDP eps value(s), comma separated")
     p_conv.add_argument("--delta", type=float, required=True)
-    p_conv.add_argument("--from", dest="source", default="change_one",
-                        choices=[n.value for n in Neighboring])
-    p_conv.add_argument("--to", dest="target", default=None,
-                        choices=[n.value for n in Neighboring])
     p_conv.set_defaults(func=_cmd_convert)
 
     p_ver = subparsers.add_parser("verify", help="run the oracle verification suites")

@@ -1,11 +1,16 @@
-"""RDP -> (eps, delta) conversion, neighboring-notion translation, and the
-regularized-logistic-regression parameter derivations."""
+"""RDP -> (eps, delta) conversion and the regularized-logistic-regression
+parameter derivations.
+
+Every guarantee is change-one: the bounds hold for datasets that differ by
+replacing one record, and so does each (eps, delta) converted from them. This
+module alone knows the conversion rule; the solvers apply it through
+``_converted``.
+"""
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .params import (
@@ -20,11 +25,9 @@ from .sampling import bound_shuffle
 __all__ = [
     "EmptyInput",
     "InvalidDelta",
-    "Neighboring",
     "DpGuarantee",
     "DEFAULT_ALPHA_GRID",
     "rdp_to_dp",
-    "translate_neighboring",
     "logistic_params",
     "corollary_logistic_bound",
 ]
@@ -47,37 +50,25 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = (
 )
 
 
-class Neighboring(enum.Enum):
-    """Dataset adjacency of a guarantee; the bounds hold under change-one."""
-
-    CHANGE_ONE = "change_one"
-    REMOVE_ONE = "remove_one"
-
-
 @dataclass(frozen=True, slots=True)
 class DpGuarantee:
-    """(eps, delta)-DP statement plus the Renyi order that produced it."""
+    """Change-one (eps, delta)-DP statement plus the Renyi order that produced it."""
 
     eps: float
     delta: float
-    neighboring: Neighboring
     alpha_star: float
 
 
-def _converted(alpha: float, eps: float, log_term: float) -> float:
-    """eps + log_term/(alpha-1): the (eps, delta)-DP eps of one order, log_term = ln(1/delta)."""
+def _converted(alpha: float, eps: float, delta: float) -> float:
+    """eps + ln(1/delta)/(alpha-1): the (eps, delta)-DP eps of one order; delta is in (0, 1]."""
     if not (alpha > 1 and math.isfinite(alpha)):
         raise AccountingError(f"Renyi order {alpha!r} must be finite and > 1")
     if not eps >= 0:  # also rejects NaN; +inf marks an order without a bound
         raise AccountingError(f"RDP eps {eps!r} must be >= 0")
-    return eps + log_term / (alpha - 1.0)
+    return eps + math.log(1.0 / delta) / (alpha - 1.0)
 
 
-def rdp_to_dp(
-    points: Iterable[RdpPoint],
-    delta: float,
-    neighboring: Neighboring = Neighboring.CHANGE_ONE,
-) -> DpGuarantee:
+def rdp_to_dp(points: Iterable[RdpPoint], delta: float) -> DpGuarantee:
     """Standard conversion: eps = min_alpha [eps_alpha + ln(1/delta)/(alpha-1)].
 
     Ties go to the smallest order.
@@ -89,27 +80,12 @@ def rdp_to_dp(
         raise InvalidDelta(f"delta = {delta!r} outside (0, 1]")
     best_eps = math.inf
     best_alpha = math.inf
-    log_term = math.log(1.0 / delta)
     for pt in pts:
-        converted = _converted(pt.alpha, pt.eps, log_term)
+        converted = _converted(pt.alpha, pt.eps, delta)
         if converted < best_eps or (converted == best_eps and pt.alpha < best_alpha):
             best_eps = converted
             best_alpha = pt.alpha
-    return DpGuarantee(
-        eps=best_eps, delta=delta, neighboring=neighboring, alpha_star=best_alpha
-    )
-
-
-def translate_neighboring(guarantee: DpGuarantee, target: Neighboring) -> DpGuarantee:
-    """Translate a guarantee from its own neighboring notion to ``target`` at equal delta.
-
-    remove-one -> change-one doubles eps (replacing a record is a removal
-    plus an insertion); change-one -> remove-one is the identity (we never
-    shrink a reported eps); same-notion is the identity.
-    """
-    if guarantee.neighboring is Neighboring.REMOVE_ONE and target is Neighboring.CHANGE_ONE:
-        return replace(guarantee, eps=2.0 * guarantee.eps, neighboring=target)
-    return replace(guarantee, neighboring=target)
+    return DpGuarantee(eps=best_eps, delta=delta, alpha_star=best_alpha)
 
 
 def logistic_params(

@@ -149,6 +149,8 @@ def validate(params: AccountingParams) -> AccountingParams:
     ):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise AccountingError(f"{name} must be an int or a float, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:  # math.isfinite would overflow
+            raise AccountingError(f"{name} must be within float64 range, got an int of {value.bit_length()} bits")
         if not math.isfinite(value):
             raise AccountingError(f"{name} must be finite, got {value!r}")
     if not isinstance(params.truncate_last_batch, bool):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privdyn import (
-    BoundKind, Neighboring, bound_fixed, bound_shuffle, rdp_to_dp, RdpPoint, sigma_from_multiplier,
+    BoundKind, bound_fixed, bound_shuffle, rdp_to_dp, RdpPoint, sigma_from_multiplier,
 )
 from privdyn.cli import main
 
@@ -293,15 +293,15 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
 
 
 def test_neighboring_is_neither_a_config_key_nor_a_flag(capsys, tmp_path):
-    # every bound holds under change-one; only convert takes a notion (--from, --to)
+    # every guarantee is change-one, and no command takes a notion
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# reference setting\nneighboring = change_one\n")
+    cfg.write_text("# reference setting\nneighboring = change-one\n")
     argv = ("bound", "--kind", "naive", *REF_FLAGS, "--alpha", "10", "--epochs", "4")
     code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == f"ConfigError: {cfg}:2: unknown key 'neighboring'\n"
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--neighboring", "change_one"])
+        main([*argv, "--neighboring", "change-one"])
     assert exc.value.code == 2
 
 
@@ -349,21 +349,33 @@ def test_config_prints_the_bytes_of_its_flags(capsys, tmp_path, argv):
 
 
 def test_convert_command(capsys):
-    code, out, _ = run(capsys, "convert", "--alpha", "10", "--eps", "0.05", "--delta", "1e-5")
+    argv = ("convert", "--alpha", "10", "--eps", "0.05", "--delta", "1e-5")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     record = json.loads(out)
+    assert sorted(record) == ["alpha_star", "delta", "eps_dp"]
     assert record["eps_dp"] == pytest.approx(1.32922, abs=1e-5)
     assert record["alpha_star"] == 10
+    # every guarantee is change-one: the flags that named a notion are gone
+    for flag in (("--from", "remove_one"), ("--to", "change_one")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("InputError: "), err
 
 
-def test_convert_translation_doubles_once(capsys):
-    code, out, _ = run(
-        capsys, "convert", "--alpha", "10", "--eps", "3", "--delta", "1",
-        "--from", "remove_one", "--to", "change_one",
-    )
-    record = json.loads(out)
-    assert record["eps_dp"] == pytest.approx(6.0, rel=1e-12)
-    assert record["neighboring"] == "change_one"
+def test_curve_refuses_a_repeated_label_before_any_output(capsys, tmp_path):
+    # a label names one header and one file: the second curve would overwrite the first
+    for kinds, alphas, label in (("shuffle", "10,10.000001", "kind=shuffle alpha=10"),
+                                 ("shuffle,shuffle", "10", "kind=shuffle alpha=10"),
+                                 ("naive,sgm", "2,30,30", "kind=naive alpha=30")):
+        out_dir = tmp_path / "curves"
+        code, out, err = run(capsys, "curve", "--kinds", kinds, "--alpha", alphas,
+                             "--epochs-max", "2", *REF_FLAGS, "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and label in err, err
+        assert not out_dir.exists()
 
 
 def test_calibrate_sigma_round_trip(capsys):
@@ -533,7 +545,7 @@ def test_public_surface():
         "AccountingError", "AccountingParams", "BatchCountTooSmall", "BoundKind",
         "DEFAULT_ALPHA_GRID", "DominanceViolated", "DpGuarantee", "EmptyInput",
         "GaussianLaw", "HeadTail", "IndexOutOfRange", "InvalidDelta", "MAXED_OUT",
-        "MaxedOut", "Neighboring", "NonDividingBatch", "NonIntegerOrder", "NonPositive",
+        "MaxedOut", "NonDividingBatch", "NonIntegerOrder", "NonPositive",
         "OracleInstance", "RdpPoint", "SensitivityViolated", "StepsizeTooLarge",
         "Unsatisfiable", "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
         "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
@@ -542,7 +554,7 @@ def test_public_surface():
         "make_instance", "make_params", "max_epochs", "mixing_diffusion_first_batch",
         "mixing_diffusion_last_batch", "numerics", "oracle", "params", "rdp_to_dp",
         "samp_wo_limit", "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",
-        "translate_neighboring", "validate", "verify_dominance", "with_epochs",
+        "validate", "verify_dominance", "with_epochs",
         "with_sigma",
     ]
 
@@ -661,7 +673,9 @@ README_FLAGS = [
 # was re-recorded when each order got solved alone to a relative 1e-10: its
 # sigma moved down, toward the exact minimum, from PREVIOUS_GOLDEN_SIGMA.
 # bound.txt and both calibrate goldens lost the "neighboring" key of their
-# params echo when params stopped carrying a neighboring notion.
+# params echo when params stopped carrying a neighboring notion, and
+# convert.txt lost its own "neighboring" key when every guarantee became
+# change-one.
 PREVIOUS_GOLDEN_SIGMA = 0.3175492905026391
 README_EXAMPLES = {
     "bound": ("bound", "--kind", "shuffle", *README_FLAGS, "--sigma", "2",
@@ -672,8 +686,6 @@ README_EXAMPLES = {
                          "--target-eps", "3", "--delta", "1e-5", *README_FLAGS,
                          "--sigma", "2", "--epochs", "1"),
     "convert": ("convert", "--alpha", "10", "--eps", "0.05", "--delta", "1e-5"),
-    "convert_translate": ("convert", "--alpha", "10", "--eps", "3", "--delta", "1",
-                          "--from", "remove_one", "--to", "change_one"),
     "curve": ("curve", "--kinds",
               "improved-first,improved-last,naive,mixing-diffusion-first,mixing-diffusion-last",
               "--alpha", "10,20,30", "--epochs-max", "25", *README_FLAGS, "--sigma", "2"),
@@ -769,10 +781,8 @@ FUZZ_COMMANDS = st.one_of(
               _maybe(3.0, EXTREME_FLOATS)).map(
         lambda t: (["calibrate", f"--kind={t[0]}", f"--solve={t[1]}", f"--target-eps={t[3]}"],
                    t[2])),
-    st.tuples(_float_list("10"), _float_list("0.05"), _maybe(1e-5, EXTREME_FLOATS),
-              st.sampled_from([n.value for n in Neighboring])).map(
-        lambda t: (["convert", f"--alpha={t[0]}", f"--eps={t[1]}", f"--delta={t[2]}",
-                    f"--from={t[3]}"], {})),
+    st.tuples(_float_list("10"), _float_list("0.05"), _maybe(1e-5, EXTREME_FLOATS)).map(
+        lambda t: (["convert", f"--alpha={t[0]}", f"--eps={t[1]}", f"--delta={t[2]}"], {})),
 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,12 @@ from privdyn import (
     DpGuarantee,
     EmptyInput,
     InvalidDelta,
-    Neighboring,
     NonPositive,
     RdpPoint,
     bound_shuffle,
     corollary_logistic_bound,
     logistic_params,
     rdp_to_dp,
-    translate_neighboring,
 )
 
 
@@ -25,6 +24,8 @@ def test_rdp_to_dp_single_point():
     assert g.eps == pytest.approx(0.05 + math.log(1e5) / 9, rel=1e-12)
     assert g.eps == pytest.approx(1.32922, abs=1e-5)
     assert g.alpha_star == 10
+    # every guarantee is change-one, so a guarantee carries no notion
+    assert [f.name for f in dataclasses.fields(DpGuarantee)] == ["eps", "delta", "alpha_star"]
 
 
 def test_rdp_to_dp_delta_one_drops_log_term():
@@ -63,19 +64,6 @@ def test_rdp_to_dp_errors():
 def test_rdp_to_dp_skips_orders_without_a_bound():
     g = rdp_to_dp([RdpPoint(2, math.inf), RdpPoint(10, 0.05)], delta=1e-5)
     assert g.alpha_star == 10
-
-
-def test_translate_neighboring_doubles_once():
-    g = DpGuarantee(eps=3.0, delta=1e-5, neighboring=Neighboring.REMOVE_ONE, alpha_star=10)
-    changed = translate_neighboring(g, Neighboring.CHANGE_ONE)
-    assert changed.eps == 6.0
-    assert changed.neighboring is Neighboring.CHANGE_ONE
-    # the second hop is the identity: no silent compounding
-    again = translate_neighboring(changed, Neighboring.CHANGE_ONE)
-    assert again.eps == 6.0
-    conservative = translate_neighboring(changed, Neighboring.REMOVE_ONE)
-    assert conservative.eps == 6.0
-    assert conservative.neighboring is Neighboring.REMOVE_ONE
 
 
 def test_logistic_constants_values():

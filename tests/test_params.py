@@ -195,8 +195,11 @@ def test_make_params_is_the_constructor():
     (lambda: make_params(**dict(REF_FIELDS, b=2.0)), "b"),
     (lambda: make_params(**dict(REF_FIELDS, beta=True)), "beta"),
     (lambda: with_sigma(make_params(**REF_FIELDS), "2"), "sigma"),
+    # an int real beyond float64: math.isfinite would raise OverflowError
+    (lambda: make_params(**dict(REF_FIELDS, eta=10**400)), "eta"),
+    (lambda: make_params(**dict(REF_FIELDS, sigma=10**400)), "sigma"),
 ], ids=["n-float", "epochs-float", "with-epochs-float", "truncate-str", "n-bool", "lam-str",
-        "b-integral-float", "beta-bool", "with-sigma-str"])
+        "b-integral-float", "beta-bool", "with-sigma-str", "eta-huge-int", "sigma-huge-int"])
 def test_wrong_field_type_is_refused_by_name(build, field):
     with pytest.raises(AccountingError, match=f"^{field} must be "):
         build()
