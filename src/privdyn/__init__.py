@@ -10,6 +10,7 @@ from .params import (
     NonPositive,
     RdpPoint,
     StepsizeTooLarge,
+    logistic_params,
     make_params,
     sigma_from_multiplier,
     validate,
@@ -40,8 +41,6 @@ from .convert import (
     DpGuarantee,
     EmptyInput,
     InvalidDelta,
-    corollary_logistic_bound,
-    logistic_params,
     rdp_to_dp,
 )
 from .calibrate import (

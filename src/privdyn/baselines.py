@@ -75,7 +75,7 @@ def sgm_rdp_per_step(q: float, sigma_eff: float, alpha: int) -> float:
 
 def sgm_order(alpha: float) -> int:
     """alpha rounded up to an integer order >= 2: Renyi DP is nondecreasing in the order."""
-    return max(2, math.ceil(alpha - 1e-12))
+    return max(2, math.ceil(alpha))
 
 
 def sgm_eps(params: AccountingParams, alpha: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 from . import baselines, calibrate, convert, oracle
 from .calibrate import BoundKind
-from .params import AccountingError, AccountingParams, sigma_from_multiplier
+from .params import AccountingError, AccountingParams, logistic_params, sigma_from_multiplier
 
 __all__ = ["main"]
 
@@ -166,7 +166,7 @@ def _build_params(merged: dict) -> AccountingParams:
                 raise AccountingError(
                     f"{_flag(k)} conflicts with the {'/'.join(map(_flag, derivation))} derivation"
                 )
-        return convert.logistic_params(
+        return logistic_params(
             **common, l_feat=merged["clip_feature"], grad_clip=merged["clip_gradient"],
             sigma_mul=merged["sigma_mul"],
         )
@@ -246,6 +246,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     _refuse_unread_flags(args, ("delta",), "curves print RDP eps")
     merged = _merged_options(args)
     if args.epochs_max is not None:
+        _refuse_unread_flags(args, ("epochs",), "--epochs-max sets the epoch count")
         merged["epochs"] = args.epochs_max
     params = _build_params(merged)
     _require(merged, "alpha")
@@ -378,7 +379,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for alpha in (2.0, 10.0, 30.0):
                 emit_checked(
                     {"suite": "tightness", "alpha": alpha},
-                    lambda: oracle.verify_dominance(instance, alpha, "fixed", beta=params.beta),
+                    lambda: oracle.verify_dominance(instance, alpha, "fixed"),
                     tight=True,
                 )
         else:
@@ -389,13 +390,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     for alpha in (2.0, 10.0, 30.0):
                         emit_checked(
                             {"suite": "dominance", "epochs": epochs, "j0": j0, "alpha": alpha},
-                            lambda: oracle.verify_dominance(instance, alpha, "fixed", beta=params.beta),
+                            lambda: oracle.verify_dominance(instance, alpha, "fixed"),
                         )
                 instance = oracle.make_instance(params, j0=0)
                 for alpha in (2.0, 10.0):
                     emit_checked(
                         {"suite": "dominance", "epochs": epochs, "alpha": alpha},
-                        lambda: oracle.verify_dominance(instance, alpha, "shuffle", beta=params.beta),
+                        lambda: oracle.verify_dominance(instance, alpha, "shuffle"),
                     )
     _emit({"failures": failures}, args)
     return 1 if failures else 0
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = subparsers.add_parser("curve", help="emit k,eps CSV curves over epochs")
     _add_param_flags(p_curve)
     p_curve.add_argument("--kinds", required=True, help="comma-separated bound families")
-    p_curve.add_argument("--epochs-max", dest="epochs_max", type=int, help="largest epoch count (overrides --epochs)")
+    p_curve.add_argument("--epochs-max", dest="epochs_max", type=int, help="largest epoch count (in place of --epochs)")
     p_curve.add_argument("--j0", type=int, help="batch index for kind=fixed")
     p_curve.add_argument("--out-dir", dest="out_dir", help="write one CSV file per (kind, alpha) instead of stdout")
     p_curve.set_defaults(func=_cmd_curve)

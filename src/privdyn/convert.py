@@ -1,5 +1,4 @@
-"""RDP -> (eps, delta) conversion and the regularized-logistic-regression
-parameter derivations.
+"""RDP -> (eps, delta) conversion.
 
 Every guarantee is change-one: the bounds hold for datasets that differ by
 replacing one record, and so does each (eps, delta) converted from them. This
@@ -13,14 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .params import (
-    AccountingError,
-    AccountingParams,
-    NonPositive,
-    RdpPoint,
-    sigma_from_multiplier,
-)
-from .sampling import bound_shuffle
+from .params import AccountingError, RdpPoint
 
 __all__ = [
     "EmptyInput",
@@ -28,8 +20,6 @@ __all__ = [
     "DpGuarantee",
     "DEFAULT_ALPHA_GRID",
     "rdp_to_dp",
-    "logistic_params",
-    "corollary_logistic_bound",
 ]
 
 
@@ -86,73 +76,3 @@ def rdp_to_dp(points: Iterable[RdpPoint], delta: float) -> DpGuarantee:
             best_eps = converted
             best_alpha = pt.alpha
     return DpGuarantee(eps=best_eps, delta=delta, alpha_star=best_alpha)
-
-
-def logistic_params(
-    n: int,
-    b: int,
-    eta: float,
-    epochs: int,
-    lam: float,
-    l_feat: float,
-    grad_clip: float,
-    sigma_mul: float,
-    truncate_last_batch: bool = False,
-) -> AccountingParams:
-    """Accounting inputs for the noisy regularized-logistic-regression run.
-
-    For features clipped to l2-norm <= l_feat the unregularized loss is
-    sqrt(2*(l_feat^2+1))-Lipschitz and beta-smooth with beta = (l_feat^2+1)/2;
-    clipping the unregularized gradient at grad_clip gives the regularized
-    update map l2-sensitivity S_g = 2*grad_clip and makes it
-    lambda-to-(beta+lambda) bi-Lipschitz. The noise multiplier converts to
-    sigma = sqrt(eta/2)*(1/b)*sigma_mul*(S_g/2), so the stepsize condition
-    becomes eta < 2/((l_feat^2+1)/2 + 2*lam).
-    """
-    if l_feat < 0:
-        raise NonPositive(f"feature clip norm must be >= 0, got {l_feat!r}")
-    if not lam > 0:
-        raise NonPositive(f"regularizer lambda must be positive, got {lam!r}")
-    if not grad_clip > 0:
-        raise NonPositive(f"gradient clip norm must be positive, got {grad_clip!r}")
-    s_g = 2.0 * grad_clip
-    return AccountingParams(
-        n=n,
-        b=b,
-        eta=eta,
-        epochs=epochs,
-        sigma=sigma_from_multiplier(eta, b, s_g, sigma_mul),
-        lam=lam,
-        beta=(l_feat**2 + 1.0) / 2.0 + lam,
-        s_g=s_g,
-        truncate_last_batch=truncate_last_batch,
-    )
-
-
-def corollary_logistic_bound(
-    n: int,
-    b: int,
-    eta: float,
-    epochs: int,
-    lam: float,
-    l_feat: float,
-    grad_clip: float,
-    sigma_mul: float,
-    alpha: float,
-    eps_norm: float = 0.0,
-    truncate_last_batch: bool = False,
-) -> float:
-    """Shuffle bound of the logistic run plus the feature-normalization cost.
-
-    eps_norm is an opaque additive RDP constant supplied by the caller; the
-    per-step prefactor of the underlying bound equals 2*alpha/sigma_mul^2
-    exactly (the sigma_mul parameterization cancels eta, b and S_g).
-    """
-    if eps_norm < 0:
-        raise NonPositive(f"eps_norm must be >= 0, got {eps_norm!r}")
-    params = logistic_params(
-        n=n, b=b, eta=eta, epochs=epochs, lam=lam,
-        l_feat=l_feat, grad_clip=grad_clip, sigma_mul=sigma_mul,
-        truncate_last_batch=truncate_last_batch,
-    )
-    return eps_norm + bound_shuffle(params, alpha).eps

@@ -11,10 +11,15 @@ never look at the data), so the last-iterate Renyi divergence has the closed
 form alpha*(mean difference)^2/(2*variance). That exact value must sit below
 every bound, and meets the fixed-batch bound with equality at K = 1 when the
 differing record is in the first batch.
+
+An instance holds the ``AccountingParams`` its bounds read. The quadratic is
+lam-smooth, so it is beta-smooth for every beta >= lam, and ``params.beta`` is
+the smoothness those bounds use.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional
@@ -57,53 +62,37 @@ class GaussianLaw:
 class OracleInstance:
     """A pair of neighboring 1-D quadratic datasets plus a fixed batch schedule.
 
-    The loss is (lam/2)*(theta - x)^2, so beta = lam and the stepsize must
-    satisfy eta < 1/lam. ``data`` and ``data_alt`` differ in exactly one
-    index; ``schedule`` is one shuffle-and-partition realization reused every
-    epoch. ``theta0`` is the shared point initialization. Every instance is
-    checked once, at construction, so the oracle functions never re-check it.
+    ``data`` and ``data_alt`` hold the m*b scheduled records of ``params``
+    and differ in at most one index; ``schedule`` is one shuffle-and-partition
+    realization into batches of b, reused every epoch. ``theta0`` is the
+    shared point initialization. The instance is checked once, at
+    construction, so the oracle functions never re-check it.
     """
 
-    lam: float
-    eta: float
-    sigma: float
-    epochs: int
-    b: int
-    s_g: float
+    params: AccountingParams
     data: tuple[float, ...]
     data_alt: tuple[float, ...]
     schedule: tuple[tuple[int, ...], ...]
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise AccountingError(f"lam must be positive, got {self.lam!r}")
-        if not self.eta > 0 or self.eta >= 1.0 / self.lam:
-            raise AccountingError(f"eta = {self.eta!r} must lie in (0, 1/lam) = (0, {1.0 / self.lam})")
-        if not self.sigma > 0 or not self.s_g > 0:
-            raise AccountingError("sigma and s_g must be positive")
-        if self.epochs < 0:
-            raise AccountingError(f"epochs must be >= 0, got {self.epochs}")
-        if len(self.data) != len(self.data_alt):
-            raise AccountingError("neighboring datasets must have equal size")
+        p = self.params
+        if not p.lam > 0:
+            raise AccountingError(f"the quadratic oracle needs lambda > 0, got {p.lam!r}")
+        n_used = p.m * p.b  # a truncated tail batch never runs
+        if len(self.data) != n_used or len(self.data_alt) != n_used:
+            raise AccountingError(f"each dataset must hold m*b = {n_used} records, "
+                                  f"got {len(self.data)} and {len(self.data_alt)}")
         covered = [i for batch in self.schedule for i in batch]
-        if sorted(covered) != list(range(self.n)):
+        if sorted(covered) != list(range(n_used)):
             raise AccountingError("schedule must partition the index set exactly once")
-        if any(len(batch) != self.b for batch in self.schedule):
-            raise AccountingError(f"every batch must have size {self.b}")
+        if any(len(batch) != p.b for batch in self.schedule):
+            raise AccountingError(f"every batch must have size {p.b}")
         i0 = self.differing_index
         if i0 is not None:
             gap = abs(self.data[i0] - self.data_alt[i0])
-            if gap > self.s_g / self.lam * (1 + 1e-12):
-                raise SensitivityViolated(f"|x_i0 - x'_i0| = {gap} exceeds S_g/lam = {self.s_g / self.lam}")
-
-    @property
-    def n(self) -> int:
-        return len(self.data)
-
-    @property
-    def m(self) -> int:
-        return len(self.schedule)
+            if gap > p.s_g / p.lam * (1 + 1e-12):
+                raise SensitivityViolated(f"|x_i0 - x'_i0| = {gap} exceeds S_g/lam = {p.s_g / p.lam}")
 
     @property
     def differing_index(self) -> Optional[int]:
@@ -119,23 +108,7 @@ class OracleInstance:
         i0 = self.differing_index
         if i0 is None:
             raise AccountingError("identical datasets have no differing batch")
-        for j, batch in enumerate(self.schedule):
-            if i0 in batch:
-                return j
-        raise AccountingError(f"differing index {i0} not covered by the schedule")
-
-    def accounting_params(self, beta: Optional[float] = None) -> AccountingParams:
-        """Matching bound inputs; beta defaults to the quadratic's own lam."""
-        return AccountingParams(
-            n=self.n,
-            b=self.b,
-            eta=self.eta,
-            epochs=self.epochs,
-            sigma=self.sigma,
-            lam=self.lam,
-            beta=self.lam if beta is None else beta,
-            s_g=self.s_g,
-        )
+        return next(j for j, batch in enumerate(self.schedule) if i0 in batch)  # the schedule covers i0
 
 
 def make_instance(
@@ -150,22 +123,14 @@ def make_instance(
     batch j0 with gap delta_x (default S_g/lam, the sensitivity maximum);
     the schedule is the contiguous partition.
     """
-    if not params.lam > 0:
-        raise AccountingError(f"the quadratic oracle needs lambda > 0, got {params.lam!r}")
     if j0 < 0 or j0 >= params.m:
         raise AccountingError(f"j0 = {j0} outside [0, {params.m - 1}]")
     if delta_x is None:
-        delta_x = params.s_g / params.lam
-    # a truncated tail batch never runs, so only the m*b scheduled records exist
+        delta_x = params.s_g / params.lam if params.lam > 0 else 0.0  # the instance refuses lam = 0
     n_used = params.m * params.b
     i0 = j0 * params.b
     return OracleInstance(
-        lam=params.lam,
-        eta=params.eta,
-        sigma=params.sigma,
-        epochs=params.epochs,
-        b=params.b,
-        s_g=params.s_g,
+        params=params,
         data=(0.0,) * n_used,
         data_alt=tuple(float(delta_x) if i == i0 else 0.0 for i in range(n_used)),
         schedule=tuple(tuple(range(j * params.b, (j + 1) * params.b)) for j in range(params.m)),
@@ -177,15 +142,16 @@ def gaussian_law(
     instance: OracleInstance, alt: bool = False, trace: bool = False
 ) -> GaussianLaw | list[GaussianLaw]:
     """Exact (mean, variance) of the last iterate, or the whole trajectory."""
-    shrink = 1.0 - instance.eta * instance.lam
-    noise_var = 2.0 * instance.eta * instance.sigma**2
+    p = instance.params
+    shrink = 1.0 - p.eta * p.lam
+    noise_var = 2.0 * p.eta * p.sigma**2
     data = instance.data_alt if alt else instance.data
-    means = [sum(data[i] for i in batch) / instance.b for batch in instance.schedule]
+    means = [sum(data[i] for i in batch) / p.b for batch in instance.schedule]
     mean, var = instance.theta0, 0.0
     laws = [GaussianLaw(mean=mean, variance=var)]
-    for _ in range(instance.epochs):
+    for _ in range(p.epochs):
         for xbar in means:
-            mean = shrink * mean + instance.eta * instance.lam * xbar
+            mean = shrink * mean + p.eta * p.lam * xbar
             var = shrink**2 * var + noise_var
             laws.append(GaussianLaw(mean=mean, variance=var))
     return laws if trace else laws[-1]
@@ -197,7 +163,7 @@ def exact_renyi(instance: OracleInstance, alpha: float) -> float:
     alpha*(mean gap)^2/(2*variance); 0 for identical datasets or K = 0.
     """
     _check_alpha(alpha)
-    if instance.epochs == 0:
+    if instance.params.epochs == 0:
         return 0.0
     law = gaussian_law(instance, alt=False)
     law_alt = gaussian_law(instance, alt=True)
@@ -230,18 +196,18 @@ def verify_dominance(
     alpha: float,
     bound_kind: Literal["fixed", "shuffle"] = "fixed",
     beta: Optional[float] = None,
-    slack_tol: float = 1e-12,
 ) -> DominanceReport:
     """Check exact <= bound on this instance; raises DominanceViolated otherwise.
 
     kind "fixed" compares against the fixed-batch bound at the instance's own
     j0. kind "shuffle" treats the instance as a template: the exact values for
     all m placements of the differing record are combined with the log-mean-exp
-    that forms the shuffle tail, and compared to the shuffle bound. The check
-    allows a slack down to -slack_tol, times the bound when the bound exceeds 1.
+    that forms the shuffle tail, and compared to the shuffle bound. The bounds
+    read ``instance.params``; ``beta`` overrides its smoothness. The check
+    allows a slack down to -1e-12, times the bound when the bound exceeds 1.
     """
     _check_alpha(alpha)
-    params = instance.accounting_params(beta=beta)
+    params = instance.params if beta is None else dataclasses.replace(instance.params, beta=beta)
     if bound_kind == "fixed":
         exact = exact_renyi(instance, alpha)
         bound = bound_fixed(params, alpha, instance.j0).eps
@@ -258,7 +224,7 @@ def verify_dominance(
     else:
         raise AccountingError(f"unknown dominance kind {bound_kind!r}")
     report = DominanceReport(kind=bound_kind, alpha=alpha, exact=exact, bound=bound)
-    if report.slack < -slack_tol * max(1.0, bound):
+    if report.slack < -1e-12 * max(1.0, bound):
         raise DominanceViolated(
             f"exact {exact} exceeds bound {bound} (slack {report.slack})"
         )

@@ -1,4 +1,5 @@
-"""Accounting inputs: validation and derived ratios.
+"""Accounting inputs: validation, derived ratios, and the derivations of
+sigma from a noise multiplier and of the logistic-regression inputs.
 
 Every bound in the package reads its hyperparameters from a single frozen
 :class:`AccountingParams`. The noise convention follows the update rule
@@ -29,6 +30,7 @@ __all__ = [
     "with_epochs",
     "with_sigma",
     "sigma_from_multiplier",
+    "logistic_params",
 ]
 
 
@@ -219,3 +221,44 @@ def sigma_from_multiplier(eta: float, b: int, s_g: float, sigma_mul: float) -> f
     _require_positive(eta=eta, b=b, sensitivity=s_g, sigma_mul=sigma_mul)
     return math.sqrt(eta / 2.0) * sigma_mul * s_g / (2.0 * b)
 
+
+def logistic_params(
+    n: int,
+    b: int,
+    eta: float,
+    epochs: int,
+    lam: float,
+    l_feat: float,
+    grad_clip: float,
+    sigma_mul: float,
+    truncate_last_batch: bool = False,
+) -> AccountingParams:
+    """Accounting inputs for the noisy regularized-logistic-regression run.
+
+    For features clipped to l2-norm <= l_feat the unregularized loss is
+    sqrt(2*(l_feat^2+1))-Lipschitz and beta-smooth with beta = (l_feat^2+1)/2;
+    clipping the unregularized gradient at grad_clip gives the regularized
+    update map l2-sensitivity S_g = 2*grad_clip and makes it
+    lambda-to-(beta+lambda) bi-Lipschitz. The noise multiplier converts to
+    sigma = sqrt(eta/2)*(1/b)*sigma_mul*(S_g/2), so the stepsize condition
+    becomes eta < 2/((l_feat^2+1)/2 + 2*lam) and the per-step prefactor
+    eps1 equals 2*alpha/sigma_mul^2 exactly.
+    """
+    if l_feat < 0:
+        raise NonPositive(f"feature clip norm must be >= 0, got {l_feat!r}")
+    if not lam > 0:
+        raise NonPositive(f"regularizer lambda must be positive, got {lam!r}")
+    if not grad_clip > 0:
+        raise NonPositive(f"gradient clip norm must be positive, got {grad_clip!r}")
+    s_g = 2.0 * grad_clip
+    return AccountingParams(
+        n=n,
+        b=b,
+        eta=eta,
+        epochs=epochs,
+        sigma=sigma_from_multiplier(eta, b, s_g, sigma_mul),
+        lam=lam,
+        beta=(l_feat**2 + 1.0) / 2.0 + lam,
+        s_g=s_g,
+        truncate_last_batch=truncate_last_batch,
+    )

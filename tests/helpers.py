@@ -248,17 +248,18 @@ def closed_form_law(instance: OracleInstance, alt: bool = False) -> list[tuple[f
     eta*lam*sum_{s<i} xbar_s*rho^(i-1-s). Powers of rho go through log1p and
     expm1, so 1 - rho^k keeps its relative precision when eta*lam is small.
     """
-    eta_lam = instance.eta * instance.lam
+    p = instance.params
+    eta_lam = p.eta * p.lam
     log_rho = math.log1p(-eta_lam)
     data = instance.data_alt if alt else instance.data
-    xbar = [sum(data[i] for i in batch) / instance.b for batch in instance.schedule]
+    xbar = [sum(data[i] for i in batch) / p.b for batch in instance.schedule]
     m = len(xbar)
     partial = [
         sum(math.exp((i - 1 - s) * log_rho) * xbar[s] for s in range(i)) for i in range(m + 1)
     ]
-    stationary_var = 2.0 * instance.eta * instance.sigma**2 / -math.expm1(2.0 * log_rho)
+    stationary_var = 2.0 * p.eta * p.sigma**2 / -math.expm1(2.0 * log_rho)
     laws = []
-    for t in range(instance.epochs * m + 1):
+    for t in range(p.epochs * m + 1):
         e, i = divmod(t, m)
         epoch_start = math.exp(e * m * log_rho) * instance.theta0 + (
             eta_lam * partial[m] * math.expm1(e * m * log_rho) / math.expm1(m * log_rho)

@@ -90,6 +90,7 @@ def test_sgm_rejects_non_integer_order(ref_params):
     with pytest.raises(NonIntegerOrder):
         sgm_rdp_per_step(0.04, 10.0, 1)
     assert sgm_order(10.5) == 11
+    assert sgm_order(2.0000000000005) == 3  # just above an integer still rounds up
     assert sgm_eps(ref_params, 10.5) == sgm_eps(ref_params, 11)
 
 

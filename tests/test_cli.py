@@ -157,6 +157,10 @@ BAD_INPUTS = {
     "curve-delta": ("AccountingError: curve does not read --delta", (
         "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
         "--delta", "1e-5")),
+    # --epochs-max sets the epoch count, so an --epochs flag would go unread
+    "curve-epochs-and-epochs-max": ("AccountingError: curve does not read --epochs", (
+        "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs", "5",
+        "--epochs-max", "2")),
     "curve-timestamp": ("InputError: unrecognized arguments: --timestamp", (
         "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
         "--timestamp")),
@@ -188,7 +192,7 @@ def test_non_finite_result_names_its_field(capsys, field, argv):
 
 
 def test_sgm_order_reported_only_when_rounded(capsys):
-    for alpha, order in (("10.5", 11), ("10", None)):
+    for alpha, order in (("10.5", 11), ("10", None), ("10.0000000000009", 11)):
         code, out, _ = run(capsys, "bound", "--kind", "sgm", *REF_FLAGS, "--alpha", alpha,
                            "--epochs", "4")
         assert code == 0
@@ -549,7 +553,7 @@ def test_public_surface():
         "OracleInstance", "RdpPoint", "SensitivityViolated", "StepsizeTooLarge",
         "Unsatisfiable", "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
         "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
-        "convert", "converted_eps", "corollary_logistic_bound", "dynamics", "eps0_term",
+        "convert", "converted_eps", "dynamics", "eps0_term",
         "evaluate_bound", "exact_renyi", "gaussian_law", "logistic_params",
         "make_instance", "make_params", "max_epochs", "mixing_diffusion_first_batch",
         "mixing_diffusion_last_batch", "numerics", "oracle", "params", "rdp_to_dp",

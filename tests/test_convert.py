@@ -13,7 +13,6 @@ from privdyn import (
     NonPositive,
     RdpPoint,
     bound_shuffle,
-    corollary_logistic_bound,
     logistic_params,
     rdp_to_dp,
 )
@@ -109,31 +108,17 @@ def test_corollary_prefactor_example():
     assert p.eps1(10) == pytest.approx(0.2, rel=1e-12)
 
 
-def test_corollary_matches_shuffle_and_is_additive_in_eps_norm():
-    kwargs = dict(n=64, b=2, eta=0.1, epochs=7, lam=0.04, l_feat=1.0,
-                  grad_clip=0.1, sigma_mul=10.0, alpha=8.0)
-    base = corollary_logistic_bound(eps_norm=0.0, **kwargs)
-    params = logistic_params(n=64, b=2, eta=0.1, epochs=7, lam=0.04, l_feat=1.0,
-                             grad_clip=0.1, sigma_mul=10.0)
-    assert base == pytest.approx(bound_shuffle(params, 8.0).eps, rel=1e-12)
-    shifted = corollary_logistic_bound(eps_norm=0.37, **kwargs)
-    assert shifted - base == pytest.approx(0.37, rel=1e-12)
-
-
 def test_corollary_stepsize_condition():
     from privdyn import StepsizeTooLarge
 
     # eta must stay below 2/((l_feat^2+1)/2 + 2*lam)
     limit = 2 / ((1 + 1) / 2 + 2 * 0.04)
     with pytest.raises(StepsizeTooLarge):
-        corollary_logistic_bound(
-            n=64, b=2, eta=limit * 1.01, epochs=1, lam=0.04, l_feat=1.0,
-            grad_clip=0.1, sigma_mul=10.0, alpha=8.0,
-        )
-    corollary_logistic_bound(
-        n=64, b=2, eta=limit * 0.99, epochs=1, lam=0.04, l_feat=1.0,
-        grad_clip=0.1, sigma_mul=10.0, alpha=8.0,
-    )
+        logistic_params(n=64, b=2, eta=limit * 1.01, epochs=1, lam=0.04, l_feat=1.0,
+                        grad_clip=0.1, sigma_mul=10.0)
+    p = logistic_params(n=64, b=2, eta=limit * 0.99, epochs=1, lam=0.04, l_feat=1.0,
+                        grad_clip=0.1, sigma_mul=10.0)
+    bound_shuffle(p, 8.0)
 
 
 def test_default_alpha_grid_shape():
@@ -163,15 +148,11 @@ def test_rdp_to_dp_monotone_property(base, extra, delta):
 
 def test_corollary_with_truncation():
     # truncation threads through to the derived params
-    v = corollary_logistic_bound(
-        n=50, b=4, eta=0.1, epochs=3, lam=0.04, l_feat=1.0, grad_clip=0.1,
-        sigma_mul=10.0, alpha=8.0, truncate_last_batch=True,
-    )
-    assert v > 0
+    p = logistic_params(n=50, b=4, eta=0.1, epochs=3, lam=0.04, l_feat=1.0, grad_clip=0.1,
+                        sigma_mul=10.0, truncate_last_batch=True)
+    assert bound_shuffle(p, 8.0).eps > 0
     from privdyn import NonDividingBatch
 
     with pytest.raises(NonDividingBatch):
-        corollary_logistic_bound(
-            n=50, b=4, eta=0.1, epochs=3, lam=0.04, l_feat=1.0, grad_clip=0.1,
-            sigma_mul=10.0, alpha=8.0,
-        )
+        logistic_params(n=50, b=4, eta=0.1, epochs=3, lam=0.04, l_feat=1.0, grad_clip=0.1,
+                        sigma_mul=10.0)

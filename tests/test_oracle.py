@@ -22,8 +22,8 @@ from helpers import closed_form_law
 
 
 def quad_params(epochs, lam=1.0, beta=None):
-    # quadratic-loss setting matched to the reference hyperparameters;
-    # beta = lam for the instance itself, beta = 4 for the bound inputs
+    # quadratic-loss setting matched to the reference hyperparameters; the
+    # quadratic is lam-smooth, so any beta >= lam (the reference's 4) is valid
     return make_params(
         n=50, b=2, eta=0.02, epochs=epochs, sigma=2.0,
         lam=lam, beta=lam if beta is None else beta, s_g=4.0,
@@ -88,7 +88,7 @@ def test_dominance_grid():
         for j0 in (0, 12, 24):
             for alpha in (2.0, 10.0, 30.0):
                 inst = make_instance(p, j0=j0)
-                report = verify_dominance(inst, alpha, "fixed", beta=4.0)
+                report = verify_dominance(inst, alpha, "fixed")
                 assert report.slack >= -1e-12
                 assert report.bound == pytest.approx(
                     bound_fixed(p, alpha, j0).eps, rel=1e-15
@@ -98,14 +98,14 @@ def test_dominance_grid():
 def test_tightness_at_k1_first_batch():
     p = quad_params(1, beta=4.0)
     for alpha in (2.0, 10.0, 30.0):
-        report = verify_dominance(make_instance(p, j0=0), alpha, "fixed", beta=4.0)
+        report = verify_dominance(make_instance(p, j0=0), alpha, "fixed")
         assert abs(report.slack) <= 1e-9 * report.bound
 
 
 def test_bound_strictly_loose_at_k10():
     p = quad_params(10, beta=4.0)
     for j0 in (0, 12, 24):
-        report = verify_dominance(make_instance(p, j0=j0), 10, "fixed", beta=4.0)
+        report = verify_dominance(make_instance(p, j0=j0), 10, "fixed")
         assert report.slack > 1e-6
 
 
@@ -121,16 +121,21 @@ def test_full_batch_instance_trips_the_precondition():
 def test_shuffle_dominance():
     for epochs in (1, 5, 20):
         p = quad_params(epochs, beta=4.0)
-        report = verify_dominance(make_instance(p, j0=0), 10, "shuffle", beta=4.0)
+        report = verify_dominance(make_instance(p, j0=0), 10, "shuffle")
         assert report.slack >= -1e-12
 
 
-def test_dominance_violation_raises():
+def test_dominance_violation_raises(monkeypatch):
+    from privdyn import HeadTail, oracle
+
     p = quad_params(1, beta=4.0)
     inst = make_instance(p, j0=0)
+    # a bound 1e-3 of itself below the true one sits below the exact value at K = 1
+    real = oracle.bound_fixed(p, 10, 0)
+    monkeypatch.setattr(oracle, "bound_fixed",
+                        lambda params, alpha, j0: HeadTail(head=0.0, tail=real.eps * (1 - 1e-3)))
     with pytest.raises(DominanceViolated):
-        # shrink the bound's noise so the exact value exceeds it
-        verify_dominance(inst, 10, "fixed", beta=4.0, slack_tol=-1e-3)
+        verify_dominance(inst, 10, "fixed")
 
 
 def test_schedule_validation():
@@ -139,25 +144,24 @@ def test_schedule_validation():
     # refused at construction, before any oracle function sees it
     with pytest.raises(AccountingError, match="partition"):
         OracleInstance(
-            lam=good.lam, eta=good.eta, sigma=good.sigma, epochs=good.epochs,
-            b=good.b, s_g=good.s_g, data=good.data, data_alt=good.data_alt,
+            params=good.params, data=good.data, data_alt=good.data_alt,
             schedule=good.schedule[:-1] + (good.schedule[0],),  # index 0 covered twice
         )
 
 
 # m = 2 batches of b = 2; the last record differs by S_g/lam = 4
 VALID_INSTANCE = dict(
-    lam=1.0, eta=0.02, sigma=2.0, epochs=1, b=2, s_g=4.0,
+    params=make_params(n=4, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1.0, beta=1.0, s_g=4.0),
     data=(0.0, 0.0, 0.0, 0.0), data_alt=(0.0, 0.0, 0.0, 4.0), schedule=((0, 1), (2, 3)),
 )
-# case -> (field changes, error type, start of the message)
+# case -> (field changes, error type, start of the message); the params
+# themselves are refused when they are built (see test_params)
 INSTANCE_REFUSALS = {
-    "lam-zero": ({"lam": 0.0}, AccountingError, "lam must be positive"),
-    "eta-at-1/lam": ({"eta": 1.0}, AccountingError, "eta = 1.0 must lie in"),
-    "sigma-zero": ({"sigma": 0.0}, AccountingError, "sigma and s_g must be positive"),
-    "s_g-negative": ({"s_g": -1.0}, AccountingError, "sigma and s_g must be positive"),
-    "epochs-negative": ({"epochs": -1}, AccountingError, "epochs must be >= 0"),
-    "unequal-lengths": ({"data_alt": (0.0, 0.0, 0.0)}, AccountingError, "neighboring datasets"),
+    "lam-zero": ({"params": make_params(n=4, b=2, eta=0.02, epochs=1, sigma=2.0, lam=0.0,
+                                        beta=1.0, s_g=4.0)},
+                 AccountingError, "the quadratic oracle needs lambda > 0"),
+    "unequal-lengths": ({"data_alt": (0.0, 0.0, 0.0)}, AccountingError,
+                        "each dataset must hold m*b = 4 records, got 4 and 3"),
     "not-a-partition": ({"schedule": ((0, 1), (1, 2))}, AccountingError, "schedule must partition"),
     "wrong-batch-size": ({"schedule": ((0, 1, 2), (3,))}, AccountingError, "every batch must have size 2"),
     "two-differences": ({"data_alt": (1.0, 0.0, 0.0, 4.0)}, AccountingError, "instance must differ"),
@@ -185,9 +189,10 @@ def random_law_instance(rng):
     data = tuple(float(x) for x in rng.normal(0.0, scale, n))
     i0 = int(rng.integers(0, n))
     gap = float(rng.normal(0.0, scale))
+    params = make_params(n=n, b=b, eta=eta, epochs=epochs, sigma=float(np.exp(rng.uniform(-3.0, 3.0))),
+                         lam=lam, beta=lam, s_g=lam * abs(gap) + 1.0)
     return OracleInstance(
-        lam=lam, eta=eta, sigma=float(np.exp(rng.uniform(-3.0, 3.0))), epochs=epochs, b=b,
-        s_g=lam * abs(gap) + 1.0, data=data,
+        params=params, data=data,
         data_alt=tuple(x + gap if i == i0 else x for i, x in enumerate(data)),
         schedule=tuple(tuple(int(i) for i in perm[j * b : (j + 1) * b]) for j in range(m)),
         theta0=float(rng.normal(0.0, scale)) if rng.random() < 0.7 else 0.0,
@@ -200,11 +205,11 @@ def test_gaussian_law_matches_closed_form():
     saw_k0 = False
     for _ in range(200):
         inst = random_law_instance(rng)
-        saw_k0 |= inst.epochs == 0
+        saw_k0 |= inst.params.epochs == 0
         for alt in (False, True):
             laws = gaussian_law(inst, alt=alt, trace=True)
             expected = closed_form_law(inst, alt=alt)
-            assert len(laws) == len(expected) == inst.epochs * inst.m + 1
+            assert len(laws) == len(expected) == inst.params.steps + 1
             data = inst.data_alt if alt else inst.data
             # the base run's mean can be exactly 0, so the mean's scale is the inputs'
             scale = max(abs(inst.theta0), max(abs(x) for x in data))
@@ -216,7 +221,7 @@ def test_gaussian_law_matches_closed_form():
 
 def test_report_json_fields():
     p = quad_params(1, beta=4.0)
-    report = verify_dominance(make_instance(p, j0=0), 10, "fixed", beta=4.0)
+    report = verify_dominance(make_instance(p, j0=0), 10, "fixed")
     payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     assert set(payload) == {"exact", "bound", "slack", "params"}
     assert payload["slack"] == pytest.approx(payload["bound"] - payload["exact"], abs=1e-18)
@@ -247,9 +252,9 @@ def test_dominance_on_random_partitions(seed, epochs, n_batches, b, alpha, gap_f
         x + gap_frac * s_g / lam if i == i0 else x for i, x in enumerate(data)
     )
     inst = OracleInstance(
-        lam=lam, eta=eta, sigma=sigma, epochs=epochs, b=b, s_g=s_g,
+        params=make_params(n=n, b=b, eta=eta, epochs=epochs, sigma=sigma, lam=lam, beta=4.0, s_g=s_g),
         data=data, data_alt=data_alt, schedule=schedule,
         theta0=float(rng.normal()),
     )
-    report = verify_dominance(inst, alpha, "fixed", beta=4.0)
+    report = verify_dominance(inst, alpha, "fixed")
     assert report.slack >= -1e-12

@@ -39,6 +39,9 @@ def test_stepsize_too_large():
     with pytest.raises(StepsizeTooLarge):
         make_params(n=50, b=2, eta=0.5, epochs=1, sigma=2, lam=0, beta=4, s_g=4)
     make_params(n=50, b=2, eta=0.499, epochs=1, sigma=2, lam=0, beta=4, s_g=4)
+    # beta = lam (the quadratic oracle's own smoothness): the cutoff is 1/lam
+    with pytest.raises(StepsizeTooLarge):
+        make_params(n=50, b=2, eta=1.0, epochs=1, sigma=2, lam=1, beta=1, s_g=4)
 
 
 def test_batch_count_too_small():
@@ -86,6 +89,8 @@ def test_nonpositive_fields():
         make_params(n=50, b=2, eta=-0.02, epochs=1, sigma=2, lam=1, beta=4, s_g=4)
     with pytest.raises(NonPositive):
         make_params(n=50, b=2, eta=0.02, epochs=1, sigma=0, lam=1, beta=4, s_g=4)
+    with pytest.raises(NonPositive):
+        make_params(n=50, b=2, eta=0.02, epochs=1, sigma=2, lam=1, beta=4, s_g=-1)
     with pytest.raises(AccountingError):
         make_params(n=50, b=2, eta=0.02, epochs=1, sigma=2, lam=5, beta=4, s_g=4)
 
