@@ -56,11 +56,9 @@ from .calibrate import (
 )
 from .oracle import (
     DominanceViolated,
-    GaussianLaw,
     OracleInstance,
     SensitivityViolated,
     exact_renyi,
-    gaussian_law,
     make_instance,
     verify_dominance,
 )

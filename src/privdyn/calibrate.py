@@ -45,7 +45,7 @@ class Family:
     ``eps`` is the RDP bound at params.epochs; ``limit`` its K -> infinity
     limit (inf for the families that grow linearly in K); ``epoch_scan``,
     when set, yields eps at K = 1..params.epochs from one pass and may end
-    early, after which every later epoch has the last value yielded.
+    early, after which every later epoch has the last value yielded; its values never fall.
 
     The entries call into the other layers through module attributes
     (``sampling.bound_shuffle``, not a captured function), so a wrapper
@@ -143,17 +143,41 @@ def bound_limit(params: AccountingParams, alpha: float, kind: BoundKind) -> floa
     return kind.family.limit(params, alpha)
 
 
+def _capped_eps(family: Family, params: AccountingParams, alpha: float, delta: float, cap: float) -> float:
+    """family.eps(params, alpha), or inf from the first scanned epoch whose converted eps exceeds
+    cap: the scan only rises and rounding is monotone, so the final value could not meet cap."""
+    if family.epoch_scan is None:
+        return family.eps(params, alpha)
+    eps = 0.0
+    for eps in family.epoch_scan(params, alpha):
+        if _converted(alpha, eps, delta) > cap:
+            return math.inf
+    return eps
+
+
 def converted_eps(
     params: AccountingParams,
     alpha_grid: Sequence[float],
     delta: float,
     kind: BoundKind,
 ) -> float:
-    """(eps, delta)-DP eps of a bound family, minimized over the order grid."""
-    points = [
-        RdpPoint(alpha=a, eps=evaluate_bound(params, a, kind)) for a in alpha_grid
-    ]
-    return rdp_to_dp(points, delta).eps
+    """(eps, delta)-DP eps of a bound family, minimized over the order grid.
+
+    With an epoch scan, the orders go by converted limit, each stopped once it cannot win.
+    """
+    family, grid = kind.family, list(alpha_grid)
+    try:  # a bad input goes to the full evaluation, which raises its usual error first
+        keys = [_converted(a, family.limit(params, a), delta) for a in grid] if family.epoch_scan else []
+    except (ArithmeticError, ValueError):
+        keys = []
+    if not keys:
+        points = [RdpPoint(alpha=a, eps=evaluate_bound(params, a, kind)) for a in grid]
+        return rdp_to_dp(points, delta).eps
+    eps, best = [math.inf] * len(grid), math.inf
+    for i in sorted(range(len(grid)), key=keys.__getitem__):
+        eps[i] = _capped_eps(family, params, grid[i], delta, best)
+        best = min(best, _converted(grid[i], eps[i], delta))
+    return rdp_to_dp(map(RdpPoint, grid, eps), delta).eps
 
 
 def _check_target(target_eps: float) -> None:
@@ -190,8 +214,9 @@ def calibrate_noise(
     them by sigma_alpha exactly for the families that scale as 1/sigma^2.
     An order that misses the target at the best sigma so far is skipped
     after that one evaluation; any other is bisected in log space inside
-    [1e-6, best] to a relative 1e-10. Every bound decreases in sigma. The
-    incoming params.sigma is ignored.
+    [1e-6, best] to a relative 1e-10; a family with an epoch scan stops a
+    check at its first epoch over the target. Every bound decreases in
+    sigma. The incoming params.sigma is ignored.
     """
     _check_target(target_eps)
     lo, hi = _SIGMA_BRACKET
@@ -202,7 +227,7 @@ def calibrate_noise(
         return lo
 
     def fits(at: AccountingParams, alpha: float) -> bool:
-        return _converted(alpha, family.eps(at, alpha), delta) <= target_eps
+        return _converted(alpha, _capped_eps(family, at, alpha, delta, target_eps), delta) <= target_eps
 
     best, at_best, found = hi, with_sigma(params, hi), False
     for index in _ranked(points, delta, target_eps):

@@ -66,3 +66,14 @@ def logsumexp(log_weights: Union[float, Sequence[float]], values: Sequence[float
         for lw, x in zip(log_weights, values)
     )
     return c + math.log1p(excess)
+
+
+def _logsumexp2(lw0: float, x0: float, lw1: float, x1: float) -> float:
+    """logsumexp((lw0, lw1), (x0, x1)) bit for bit: the same terms, and t0 + t1 rounds as fsum."""
+    s0, s1 = lw0 + x0, lw1 + x1
+    c = max(0.0, max(s0, s1))
+    if c == math.inf:
+        return c
+    t0 = math.exp(s0 - c) - math.exp(lw0) if x0 - c > 1.0 else math.exp(lw0) * math.expm1(x0 - c)
+    t1 = math.exp(s1 - c) - math.exp(lw1) if x1 - c > 1.0 else math.exp(lw1) * math.expm1(x1 - c)
+    return c + math.log1p(t0 + t1)

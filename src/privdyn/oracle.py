@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .dynamics import _check_alpha, bound_fixed
 from .numerics import logsumexp
@@ -33,10 +33,8 @@ __all__ = [
     "SensitivityViolated",
     "DominanceViolated",
     "OracleInstance",
-    "GaussianLaw",
     "DominanceReport",
     "make_instance",
-    "gaussian_law",
     "exact_renyi",
     "verify_dominance",
 ]
@@ -48,14 +46,6 @@ class SensitivityViolated(AccountingError):
 
 class DominanceViolated(AssertionError):
     """exact > bound beyond tolerance: an implementation bug, never expected."""
-
-
-@dataclass(frozen=True, slots=True)
-class GaussianLaw:
-    """Exact parameter law N(mean, variance) at one iteration."""
-
-    mean: float
-    variance: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,23 +128,20 @@ def make_instance(
     )
 
 
-def gaussian_law(
-    instance: OracleInstance, alt: bool = False, trace: bool = False
-) -> GaussianLaw | list[GaussianLaw]:
-    """Exact (mean, variance) of the last iterate, or the whole trajectory."""
+def _gaussian_laws(instance: OracleInstance, alt: bool = False) -> Iterator[tuple[float, float]]:
+    """Exact law N(mean, variance) of every iterate of one run, the initial point first."""
     p = instance.params
     shrink = 1.0 - p.eta * p.lam
     noise_var = 2.0 * p.eta * p.sigma**2
     data = instance.data_alt if alt else instance.data
     means = [sum(data[i] for i in batch) / p.b for batch in instance.schedule]
     mean, var = instance.theta0, 0.0
-    laws = [GaussianLaw(mean=mean, variance=var)]
+    yield mean, var
     for _ in range(p.epochs):
         for xbar in means:
             mean = shrink * mean + p.eta * p.lam * xbar
             var = shrink**2 * var + noise_var
-            laws.append(GaussianLaw(mean=mean, variance=var))
-    return laws if trace else laws[-1]
+            yield mean, var
 
 
 def exact_renyi(instance: OracleInstance, alpha: float) -> float:
@@ -165,10 +152,10 @@ def exact_renyi(instance: OracleInstance, alpha: float) -> float:
     _check_alpha(alpha)
     if instance.params.epochs == 0:
         return 0.0
-    law = gaussian_law(instance, alt=False)
-    law_alt = gaussian_law(instance, alt=True)
-    gap = law.mean - law_alt.mean
-    return alpha * gap * (gap / (2.0 * law.variance))  # gap*gap alone can underflow
+    *_, (mean, variance) = _gaussian_laws(instance, alt=False)
+    *_, (mean_alt, _) = _gaussian_laws(instance, alt=True)
+    gap = mean - mean_alt
+    return alpha * gap * (gap / (2.0 * variance))  # gap*gap alone can underflow
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,8 +6,8 @@ Two batch-generation schemes on top of the fixed-batch dynamics:
   the per-position fixed-batch tails through the scaled-exponential mixture
   inequality exp((a-1)R(mix)) <= avg exp((a-1)R(component));
 * sampling without replacement: a fresh uniform batch every iteration; the
-  bound iterates a scalar moment surrogate S, carried in log-domain because
-  S overflows float64 within a few epochs at large alpha.
+  bound iterates a log-domain moment surrogate S (S overflows float64 within
+  a few epochs at large alpha), one two-term mixture-kernel call per step.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .dynamics import (
     _head_limit,
     _require_strongly_convex,
     _require_two_batches,
-    eps0_term,
 )
-from .numerics import logsumexp
+from .numerics import _logsumexp2, logsumexp
 from .params import AccountingParams
 
 __all__ = [
@@ -41,13 +40,17 @@ def shuffle_avg_term(params: AccountingParams, alpha: float) -> float:
     """Log-avg-exp tail of the shuffle bound (independent of the epoch count).
 
     (1/(a-1)) * log(avg_{j0 < m} exp((a-1)*eps0(m - j0))), through the
-    mixture kernel with every weight 1/m.
+    mixture kernel with every weight 1/m. Each eps0(j) is eps0_term's own
+    expression, eps1 * r^(j-1) / G(j) left to right, so equal bit for bit.
     """
     _check_alpha(alpha)
     _require_strongly_convex(params, "shuffle_avg_term")
     _require_two_batches(params, "shuffle_avg_term")
     scale = alpha - 1.0
-    exponents = [scale * eps0_term(params, alpha, j) for j in range(1, params.m + 1)]
+    eps1, log_r = params.eps1(alpha), params.log_r
+    em1 = math.expm1(log_r)  # log_r < 0 for a strongly convex loss
+    exponents = [scale * (eps1 * math.exp((j - 1) * log_r) / (math.expm1(j * log_r) / em1))
+                 for j in range(1, params.m + 1)]
     return logsumexp(-math.log(params.m), exponents) / scale
 
 
@@ -81,11 +84,11 @@ def samp_wo_log_steps(params: AccountingParams, alpha: float) -> Iterator[float]
     _require_strongly_convex(params, "the samp-wo recursion")
     q, r = params.q, params.r
     # q = 1 is pure composition: the contracted branch has weight 0
-    log_weights = (math.log(q), math.log1p(-q) if q < 1.0 else -math.inf)
+    lw0, lw1 = math.log(q), math.log1p(-q) if q < 1.0 else -math.inf
     gain = (alpha - 1.0) * params.eps1(alpha)
     log_s = 0.0
     for _ in range(params.steps):
-        nxt = logsumexp(log_weights, (gain + log_s, r * log_s))
+        nxt = _logsumexp2(lw0, gain + log_s, lw1, r * log_s)
         if nxt <= log_s:
             return
         log_s = nxt

@@ -22,12 +22,11 @@ from privdyn.calibrate import (
     MaxedOut,
     Unsatisfiable,
     bound_limit,
-    converted_eps,
 )
 from privdyn.convert import rdp_to_dp
 from privdyn.dynamics import IndexOutOfRange, _check_alpha
 from privdyn.numerics import geometric_sum, logsumexp
-from privdyn.oracle import OracleInstance
+from privdyn.oracle import OracleInstance, _gaussian_laws
 from privdyn.params import AccountingError, AccountingParams, RdpPoint, with_epochs, with_sigma
 
 
@@ -172,6 +171,13 @@ def sgm_epoch_approximation(params: AccountingParams, alpha: float) -> float:
     return params.q * params.eps1(alpha)
 
 
+def full_converted_eps(
+    params: AccountingParams, alpha_grid: Sequence[float], delta: float, kind: BoundKind
+) -> float:
+    """converted_eps with every order evaluated in full: rdp_to_dp over the family's eps."""
+    return rdp_to_dp([RdpPoint(alpha=a, eps=kind.family.eps(params, a)) for a in alpha_grid], delta).eps
+
+
 def reference_calibrate_noise(
     params: AccountingParams,
     alpha_grid: Sequence[float],
@@ -181,14 +187,14 @@ def reference_calibrate_noise(
 ) -> float:
     """Smallest sigma in [1e-6, 1e6] meeting the target, by bisecting the whole grid.
 
-    Every probe converts all orders; log-space bisection stops when the
+    Every probe converts all orders, each evaluated in full; log-space bisection stops when the
     bracket is within a relative 1e-6 (at most 200 midpoints) and returns
     its feasible end.
     """
     lo, hi = 1e-6, 1e6
 
     def eps_at(sigma: float) -> float:
-        return converted_eps(with_sigma(params, sigma), alpha_grid, delta, kind)
+        return full_converted_eps(with_sigma(params, sigma), alpha_grid, delta, kind)
 
     if eps_at(lo) <= target_eps:
         return lo
@@ -215,7 +221,7 @@ def reference_max_epochs(
     """Largest epoch count meeting the target, by a doubling and bisection search of the whole grid."""
 
     def eps_at(k: int) -> float:
-        return converted_eps(with_epochs(params, k), alpha_grid, delta, kind)
+        return full_converted_eps(with_epochs(params, k), alpha_grid, delta, kind)
 
     if eps_at(1) > target_eps:
         return 0
@@ -236,6 +242,19 @@ def reference_max_epochs(
         else:
             hi = mid
     return lo
+
+
+@dataclass(frozen=True, slots=True)
+class GaussianLaw:
+    """Exact parameter law N(mean, variance) at one iteration."""
+
+    mean: float
+    variance: float
+
+
+def gaussian_trajectory(instance: OracleInstance, alt: bool = False) -> list[GaussianLaw]:
+    """The oracle's exact law of every iterate of one run, the initial point first."""
+    return [GaussianLaw(mean, variance) for mean, variance in _gaussian_laws(instance, alt=alt)]
 
 
 def closed_form_law(instance: OracleInstance, alt: bool = False) -> list[tuple[float, float]]:

@@ -21,7 +21,6 @@ from privdyn import (
     converted_eps,
     eps0_term,
     exact_renyi,
-    gaussian_law,
     make_instance,
     make_params,
     mixing_diffusion_first_batch,
@@ -34,7 +33,7 @@ from privdyn import (
 )
 from privdyn.sampling import samp_wo_log_steps
 
-from helpers import closed_form_law, recursion_coefficients
+from helpers import closed_form_law, gaussian_trajectory, recursion_coefficients
 
 
 def ref_at(epochs, lam=1.0, beta=4.0):
@@ -199,7 +198,7 @@ def test_criterion_10_gaussian_law():
     with criterion("AC-10 oracle law matches its closed form at every step", seconds=1.0):
         instance = make_instance(ref_at(5), j0=0)
         for alt in (False, True):
-            laws = gaussian_law(instance, alt=alt, trace=True)
+            laws = gaussian_trajectory(instance, alt=alt)
             for law, (mean, variance) in zip(laws, closed_form_law(instance, alt=alt), strict=True):
                 assert law.variance == pytest.approx(variance, rel=1e-12, abs=0.0)
                 assert abs(law.mean - mean) <= 1e-12 * 4.0  # max(|theta0|, max|x|) = S_g/lam

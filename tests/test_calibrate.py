@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from helpers import reference_calibrate_noise, reference_max_epochs
+from helpers import full_converted_eps, reference_calibrate_noise, reference_max_epochs
 from privdyn import sampling
 from privdyn import (
     DEFAULT_ALPHA_GRID,
     AccountingError,
+    logistic_params,
     RdpPoint,
     rdp_to_dp,
     MAXED_OUT,
@@ -19,9 +21,11 @@ from privdyn import (
     evaluate_bound,
     max_epochs,
     make_params,
+    samp_wo_limit,
     with_epochs,
     with_sigma,
 )
+from privdyn.dynamics import RegularityMismatch
 
 GRID = [2.0, 4.0, 8.0, 16.0, 32.0]
 # every family that evaluates from (params, alpha); kind fixed also needs j0
@@ -176,19 +180,26 @@ def test_solvers_reject_non_finite_or_zero_targets(ref_params, target):
         max_epochs(ref_params, GRID, target, 1e-5, BoundKind.NAIVE)
 
 
+def count_samp_wo_steps(monkeypatch):
+    """Count the steps of every samp-wo recursion run from here on: [steps so far]."""
+    steps = [0]
+    recursion = sampling.samp_wo_log_steps
+
+    def counted(params, alpha):
+        for log_s in recursion(params, alpha):
+            steps[0] += 1
+            yield log_s
+
+    monkeypatch.setattr(sampling, "samp_wo_log_steps", counted)
+    return steps
+
+
 def test_max_epochs_samp_wo_reads_one_pass_per_order(ref_params, monkeypatch):
     # each order's recursion runs once, up to its first epoch over the target
     at_one = converted_eps(with_epochs(ref_params, 1), GRID, 1e-5, BoundKind.SAMP_WO)
     points = [RdpPoint(alpha=a, eps=bound_limit(ref_params, a, BoundKind.SAMP_WO)) for a in GRID]
     target = (at_one + rdp_to_dp(points, 1e-5).eps) / 2
-    calls = [0]
-    kernel = sampling.logsumexp
-
-    def counted(*args):
-        calls[0] += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(sampling, "logsumexp", counted)
+    calls = count_samp_wo_steps(monkeypatch)
     k = max_epochs(ref_params, GRID, target, 1e-5, BoundKind.SAMP_WO)
     assert isinstance(k, int) and k >= 1
     assert calls[0] <= len(GRID) * (k + 1) * ref_params.m
@@ -256,3 +267,100 @@ def test_max_epochs_beyond_the_doubling_range_matches_reference(ref_params, sigm
     # sgm grows linearly in K: at sigma = 1e5 every K up to 2^40 meets the target
     args = (with_sigma(ref_params, sigma), [2.0, 8.0, 64.0], 20.0, 1e-5, BoundKind.SGM_COMPOSITION)
     assert _outcome(max_epochs, *args) == _outcome(reference_max_epochs, *args) == expected
+
+
+def _random_samp_wo_case(rng):
+    """Small samp-wo params (some with q = 1 or no epochs) and a shuffled grid, maybe with a repeat."""
+    b = rng.choice((1, 2, 3))
+    m = 1 if rng.random() < 0.15 else rng.randint(2, 30)
+    params = make_params(
+        n=b * m, b=b, eta=rng.choice((0.01, 0.05, 0.2)),
+        epochs=0 if rng.random() < 0.1 else rng.randint(1, 15),
+        sigma=math.exp(rng.uniform(math.log(0.05), math.log(50.0))),
+        lam=rng.uniform(0.1, 2.0), beta=4.0, s_g=4.0,
+    )
+    grid = rng.sample(list(DEFAULT_ALPHA_GRID), rng.randint(1, 10))
+    if rng.random() < 0.3:
+        grid.insert(rng.randrange(len(grid) + 1), rng.choice(grid))  # a tie at every value
+    return params, grid
+
+
+def test_samp_wo_converted_eps_stops_orders_without_changing_the_answer():
+    rng = random.Random("samp-wo stops")
+    seen = set()
+    for _ in range(400):
+        params, grid = _random_samp_wo_case(rng)
+        delta = rng.choice((1e-5, 1e-2, 1.0))
+        got = converted_eps(params, grid, delta, BoundKind.SAMP_WO)
+        assert got == full_converted_eps(params, grid, delta, BoundKind.SAMP_WO)
+        seen.add("q = 1" if params.q == 1.0 else "q < 1")
+        seen.add("K = 0" if params.epochs == 0 else "K > 0")
+        seen.add("repeat" if len(set(grid)) < len(grid) else "distinct")
+        seen.add("diverges" if any(samp_wo_limit(params, a) == math.inf for a in grid) else "converges")
+    assert seen == {"q = 1", "q < 1", "K = 0", "K > 0", "repeat", "distinct", "diverges", "converges"}
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_samp_wo_converted_eps_on_the_default_grid_matches_full_evaluation(ref_params, sigma):
+    p = with_sigma(ref_params, sigma)
+    grid = list(DEFAULT_ALPHA_GRID)
+    assert converted_eps(p, grid, 1e-5, BoundKind.SAMP_WO) == full_converted_eps(p, grid, 1e-5, BoundKind.SAMP_WO)
+
+
+def test_samp_wo_calibrate_noise_stops_orders_without_changing_the_answer(monkeypatch):
+    rng = random.Random("samp-wo calibrate stops")
+    full_family = dataclasses.replace(BoundKind.SAMP_WO.family, epoch_scan=None)
+    for _ in range(40):
+        params, grid = _random_samp_wo_case(rng)
+        args = (params, grid, math.exp(rng.uniform(math.log(0.2), math.log(20.0))), 1e-5,
+                BoundKind.SAMP_WO)
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundKind.SAMP_WO, "family", full_family)
+            expected = _outcome(calibrate_noise, *args)
+        assert _outcome(calibrate_noise, *args) == expected
+
+
+def test_samp_wo_converted_eps_work_count_on_the_logistic_setting(monkeypatch):
+    # the README's logistic example: 28 800 steps per order, and most orders
+    # diverge; every order run in full takes 1 787 280 steps
+    params = logistic_params(n=50_000, b=2048, eta=0.75, epochs=1200, lam=0.08, l_feat=2.0,
+                             grad_clip=1.58, sigma_mul=3.23, truncate_last_batch=True)
+    steps = count_samp_wo_steps(monkeypatch)
+    eps = converted_eps(params, DEFAULT_ALPHA_GRID, 1e-5, BoundKind.SAMP_WO)
+    assert eps == 5.222606761981403  # every order evaluated in full
+    assert steps[0] <= 10_000
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except AccountingError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("lam, grid, delta", [
+    (0.0, [2.0, 8.0], 1e-5),
+    (0.0, [2.0, 8.0], 0.0),
+    (1.0, [0.5, 8.0], 1e-5),
+    (1.0, [8.0, 1.0], 1e-5),
+    (0.0, [math.inf], 1e-5),
+    (1.0, [2.0, 8.0], 0.0),
+    (1.0, [2.0, 8.0], -1.0),
+    (1.0, [2.0, 8.0], 2.0),
+    (1.0, [2.0, 8.0], math.nan),
+    (1.0, [], 1e-5),
+])
+def test_samp_wo_converted_eps_raises_the_full_evaluation_error(ref_params, monkeypatch, lam, grid, delta):
+    params = dataclasses.replace(ref_params, lam=lam, epochs=2)
+    error = _error(converted_eps, params, grid, delta, BoundKind.SAMP_WO)
+    assert error is not None
+    monkeypatch.setattr(BoundKind.SAMP_WO, "family",
+                        dataclasses.replace(BoundKind.SAMP_WO.family, epoch_scan=None))
+    assert _error(converted_eps, params, grid, delta, BoundKind.SAMP_WO) == error
+
+
+def test_samp_wo_converted_eps_at_lambda_zero_names_the_recursion(ref_params_convex):
+    with pytest.raises(RegularityMismatch) as raised:
+        converted_eps(ref_params_convex, DEFAULT_ALPHA_GRID, 1e-5, BoundKind.SAMP_WO)
+    assert str(raised.value) == "the samp-wo recursion needs a strongly convex loss (lambda > 0)"

@@ -548,13 +548,13 @@ def test_public_surface():
     assert done.stdout.split() == [
         "AccountingError", "AccountingParams", "BatchCountTooSmall", "BoundKind",
         "DEFAULT_ALPHA_GRID", "DominanceViolated", "DpGuarantee", "EmptyInput",
-        "GaussianLaw", "HeadTail", "IndexOutOfRange", "InvalidDelta", "MAXED_OUT",
+        "HeadTail", "IndexOutOfRange", "InvalidDelta", "MAXED_OUT",
         "MaxedOut", "NonDividingBatch", "NonIntegerOrder", "NonPositive",
         "OracleInstance", "RdpPoint", "SensitivityViolated", "StepsizeTooLarge",
         "Unsatisfiable", "baselines", "bound_fixed", "bound_limit", "bound_naive_baseline",
         "bound_samp_wo_replacement", "bound_shuffle", "calibrate", "calibrate_noise",
         "convert", "converted_eps", "dynamics", "eps0_term",
-        "evaluate_bound", "exact_renyi", "gaussian_law", "logistic_params",
+        "evaluate_bound", "exact_renyi", "logistic_params",
         "make_instance", "make_params", "max_epochs", "mixing_diffusion_first_batch",
         "mixing_diffusion_last_batch", "numerics", "oracle", "params", "rdp_to_dp",
         "samp_wo_limit", "sampling", "sgm_eps", "sgm_rdp_per_step", "sigma_from_multiplier",

@@ -11,14 +11,13 @@ from privdyn import (
     bound_fixed,
     eps0_term,
     exact_renyi,
-    gaussian_law,
     make_instance,
     make_params,
     verify_dominance,
 )
 from privdyn.oracle import OracleInstance
 
-from helpers import closed_form_law
+from helpers import closed_form_law, gaussian_trajectory
 
 
 def quad_params(epochs, lam=1.0, beta=None):
@@ -71,8 +70,8 @@ def test_sensitivity_violated():
 def test_variance_identical_across_runs_every_iteration():
     p = quad_params(4)
     inst = make_instance(p, j0=7)
-    laws = gaussian_law(inst, alt=False, trace=True)
-    laws_alt = gaussian_law(inst, alt=True, trace=True)
+    laws = gaussian_trajectory(inst, alt=False)
+    laws_alt = gaussian_trajectory(inst, alt=True)
     assert len(laws) == p.steps + 1
     for a, b in zip(laws, laws_alt):
         assert a.variance == b.variance  # exact, to the last bit
@@ -207,7 +206,7 @@ def test_gaussian_law_matches_closed_form():
         inst = random_law_instance(rng)
         saw_k0 |= inst.params.epochs == 0
         for alt in (False, True):
-            laws = gaussian_law(inst, alt=alt, trace=True)
+            laws = gaussian_trajectory(inst, alt=alt)
             expected = closed_form_law(inst, alt=alt)
             assert len(laws) == len(expected) == inst.params.steps + 1
             data = inst.data_alt if alt else inst.data

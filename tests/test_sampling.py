@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from privdyn import (
+    DEFAULT_ALPHA_GRID,
     BoundKind,
     bound_samp_wo_replacement,
     bound_shuffle,
@@ -13,7 +15,8 @@ from privdyn import (
     samp_wo_limit,
     with_epochs,
 )
-from privdyn.sampling import samp_wo_log_steps
+from privdyn.numerics import _logsumexp2, logsumexp
+from privdyn.sampling import samp_wo_log_steps, shuffle_avg_term
 
 from helpers import check_joint_convexity, mixture_rdp
 
@@ -189,3 +192,56 @@ def test_parallel_sweeps_match_sequential(ref_params):
             pool.map(lambda ka: bound_shuffle(with_epochs(ref_params, ka[0]), ka[1]).eps, jobs)
         )
     assert parallel == sequential
+
+
+def test_two_term_step_equals_logsumexp_bit_for_bit():
+    rng = random.Random("logsumexp2")
+    branches = set()
+    for case in range(5000):
+        q = 1.0 if case % 10 == 0 else 10 ** rng.uniform(-6, 0)
+        lw0, lw1 = math.log(q), math.log1p(-q) if q < 1.0 else -math.inf
+        x0, x1 = (rng.choice((0.0, 10 ** rng.uniform(-12, 3))) for _ in range(2))
+        if case % 50 == 1:
+            x0 = math.inf  # c = inf
+        lw, x = (lw0, lw1), (x0, x1)
+        c = max(0.0, max(w + v for w, v in zip(lw, x)))
+        branches.update(v - c > 1.0 for v in x if c < math.inf)
+        assert _logsumexp2(lw0, x0, lw1, x1) == logsumexp(lw, x)
+    assert branches == {False, True}
+
+
+def test_samp_wo_steps_equal_the_generic_kernel_recursion():
+    rng = random.Random("samp-wo steps")
+    for _ in range(300):
+        b = rng.choice((1, 2, 5))
+        p = make_params(
+            n=b * rng.randint(1, 40), b=b, eta=10 ** rng.uniform(-4, math.log10(0.03)),
+            epochs=rng.randint(1, 40), sigma=10 ** rng.uniform(-1, 3),
+            lam=rng.uniform(0.1, 2.0), beta=4.0, s_g=4.0,
+        )
+        alpha = rng.choice(DEFAULT_ALPHA_GRID)
+        # the recursion through logsumexp, as written before the two-term step
+        log_weights = (math.log(p.q), math.log1p(-p.q) if p.q < 1.0 else -math.inf)
+        gain, log_s, expected = (alpha - 1.0) * p.eps1(alpha), 0.0, []
+        for _ in range(p.steps):
+            nxt = logsumexp(log_weights, (gain + log_s, p.r * log_s))
+            if nxt <= log_s:
+                break
+            log_s = nxt
+            expected.append(log_s)
+        assert list(samp_wo_log_steps(p, alpha)) == expected
+
+
+def test_shuffle_tail_equals_per_term_reference_bit_for_bit():
+    rng = random.Random("shuffle tail")
+    for _ in range(2000):
+        b = rng.choice((1, 2))
+        p = make_params(
+            n=b * rng.randint(2, 1000 // b), b=b, eta=10 ** rng.uniform(-5, math.log10(0.03)),
+            epochs=1, sigma=10 ** rng.uniform(-1, 4), lam=rng.uniform(0.01, 2.0),
+            beta=4.0, s_g=4.0,
+        )
+        alpha = rng.choice(DEFAULT_ALPHA_GRID)
+        scale = alpha - 1.0
+        exponents = [scale * eps0_term(p, alpha, j) for j in range(1, p.m + 1)]
+        assert shuffle_avg_term(p, alpha) == logsumexp(-math.log(p.m), exponents) / scale
