@@ -46,6 +46,13 @@ class Family:
     limit (inf for the families that grow linearly in K); ``epoch_scan``,
     when set, yields eps at K = 1..params.epochs from one pass and may end
     early, after which every later epoch has the last value yielded; its values never fall.
+    ``eps_curve``, when set, gives eps at each params of a list in one call,
+    forming once what does not depend on K. Two one-pass hooks exist because
+    ``epoch_scan`` is also read by ``converted_eps``, ``calibrate_noise`` and
+    ``max_epochs``, which then take their per-epoch paths; ``eps_curve`` is
+    read by ``curve`` alone. ``curve`` takes ``epoch_scan`` when set, else
+    ``eps_curve`` when set, else ``eps`` once per K; each gives values equal
+    to ``eps`` at every K.
 
     The entries call into the other layers through module attributes
     (``sampling.bound_shuffle``, not a captured function), so a wrapper
@@ -55,13 +62,30 @@ class Family:
     eps: Bound
     limit: Bound = lambda params, alpha: math.inf
     epoch_scan: Optional[Callable[[AccountingParams, float], Iterator[float]]] = None
+    eps_curve: Optional[Callable[[Sequence[AccountingParams], float], list[float]]] = None
 
-    def curve(self, params: AccountingParams, alpha: float) -> list[float]:
-        """eps at K = 1..params.epochs."""
-        if self.epoch_scan is None:
-            return [self.eps(with_epochs(params, k), alpha) for k in range(1, params.epochs + 1)]
-        eps = list(self.epoch_scan(params, alpha))
-        return eps + [eps[-1] if eps else 0.0] * (params.epochs - len(eps))
+    def curve(
+        self, params: AccountingParams, alpha: float, at_k: Optional[Sequence[AccountingParams]] = None
+    ) -> list[float]:
+        """eps at K = 1..params.epochs. ``at_k``, the params at those K, lets a
+        caller drawing several curves build them once; an ``epoch_scan`` reads
+        ``params`` alone."""
+        if self.epoch_scan is not None:
+            eps = list(self.epoch_scan(params, alpha))
+            return eps + [eps[-1] if eps else 0.0] * (params.epochs - len(eps))
+        if at_k is None:
+            at_k = [with_epochs(params, k) for k in range(1, params.epochs + 1)]
+        if self.eps_curve is not None:
+            return self.eps_curve(at_k, alpha)
+        return [self.eps(p, alpha) for p in at_k]
+
+
+def _shuffle_curve(at_k: Sequence[AccountingParams], alpha: float) -> list[float]:
+    """The shuffle bound at each of at_k: the K-free tail formed once, from the first
+    params, whose bound_shuffle call makes the family's checks and raises its errors."""
+    tail = sampling.bound_shuffle(at_k[0], alpha).tail
+    # HeadTail.eps is head + tail
+    return [dynamics._head(params, alpha) + tail for params in at_k]
 
 
 def _fixed_partition(j0_of: Callable[[AccountingParams], int]) -> Family:
@@ -89,6 +113,7 @@ class BoundKind(enum.Enum):
     SHUFFLE = "shuffle", Family(
         eps=lambda p, a: sampling.bound_shuffle(p, a).eps,
         limit=lambda p, a: sampling.shuffle_limit(p, a),
+        eps_curve=_shuffle_curve,
     )
     SAMP_WO = "samp-wo", Family(
         eps=lambda p, a: sampling.bound_samp_wo_replacement(p, a),

@@ -245,17 +245,20 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     _refuse_unread_flags(args, ("delta",), "curves print RDP eps")
     merged = _merged_options(args)
+    epochs_flag = "--epochs"
     if args.epochs_max is not None:
         _refuse_unread_flags(args, ("epochs",), "--epochs-max sets the epoch count")
-        merged["epochs"] = args.epochs_max
+        merged["epochs"], epochs_flag = args.epochs_max, "--epochs-max"
     params = _build_params(merged)
     _require(merged, "alpha")
     alphas = merged["alpha"]
     kinds = [_kind(k.strip(), "--kinds") for k in args.kinds.split(",") if k.strip()]
+    if not kinds:
+        raise AccountingError("--kinds must list at least one bound family")
     _refuse_unread_j0(args.j0, kinds)
     epochs_max = params.epochs
     if epochs_max < 1:
-        raise AccountingError("--epochs-max must be >= 1 for curves")
+        raise AccountingError(f"{epochs_flag} must be >= 1 for curves")
     curves: dict[str, tuple[BoundKind, float]] = {}
     for kind in kinds:
         for alpha in alphas:
@@ -264,19 +267,26 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             if label in curves:
                 raise AccountingError(f"--kinds and --alpha ask for the curve {label} more than once")
             curves[label] = kind, alpha
+    # the per-K params, built once for every curve that reads them (an epoch scan does not)
+    at_k = None
+    if any(kind.at(args.j0).epoch_scan is None for kind in kinds):
+        at_k = [calibrate.with_epochs(params, k) for k in range(1, epochs_max + 1)]
+    # every curve is evaluated before any output, so a failing one leaves none
+    bodies = {
+        label: "k,eps\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(
+            kind.at(args.j0).curve(params, alpha, at_k), start=1))
+        for label, (kind, alpha) in curves.items()
+    }
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for label, (kind, alpha) in curves.items():
-        values = kind.at(args.j0).curve(params, alpha)
-        rows = [f"{k},{_fmt(v)}" for k, v in enumerate(values, start=1)]
-        body = "k,eps\n" + "\n".join(rows) + "\n"
         if out_dir is None:
             print(f"# {label}")
-            sys.stdout.write(body)
+            sys.stdout.write(bodies[label])
         else:
             name = f"{kind.value}_a={alpha:g}_k={epochs_max}.csv"
-            (out_dir / name).write_text(body)
+            (out_dir / name).write_text(bodies[label])
             print(f"# wrote {out_dir / name}")
     return 0
 

@@ -48,7 +48,8 @@ def geometric_sum(log_r: float, terms: float) -> float:
 def logsumexp(log_weights: Union[float, Sequence[float]], values: Sequence[float]) -> float:
     """log(sum_i w_i * exp(x_i)) for weights w_i = exp(log_weights[i]) summing to 1.
 
-    A single float log-weight is shared by every value. The result is
+    A single float log-weight is shared by every value, and its weight is
+    formed once. The result is
     c + log1p(sum_i w_i * expm1(x_i - c)) with c = max(0, max_i(ln w_i + x_i)),
     so a sum close to 1 keeps its precision: the excess over 1 is summed
     directly. A term with x_i - c > 1 is formed as exp(ln w_i + x_i - c) - w_i,
@@ -56,24 +57,15 @@ def logsumexp(log_weights: Union[float, Sequence[float]], values: Sequence[float
     With every x_i >= 0 the exact excess is >= 0; at c = 0 each of its terms
     is, so a result close to 0 cannot round below 0.
     """
-    if isinstance(log_weights, float):
-        log_weights = itertools.repeat(log_weights)  # endless; zip stops at the last value
-    c = max(0.0, max(map(operator.add, log_weights, values)))
-    if c == math.inf:
-        return c
-    excess = math.fsum(
-        math.exp(lw + x - c) - math.exp(lw) if x - c > 1.0 else math.exp(lw) * math.expm1(x - c)
-        for lw, x in zip(log_weights, values)
+    shared = isinstance(log_weights, float)
+    # a shared log-weight and its weight repeat endlessly; map and zip stop at the last value
+    lws, ws = (
+        (itertools.repeat(log_weights), itertools.repeat(math.exp(log_weights)))
+        if shared else (log_weights, map(math.exp, log_weights))
     )
-    return c + math.log1p(excess)
-
-
-def _logsumexp2(lw0: float, x0: float, lw1: float, x1: float) -> float:
-    """logsumexp((lw0, lw1), (x0, x1)) bit for bit: the same terms, and t0 + t1 rounds as fsum."""
-    s0, s1 = lw0 + x0, lw1 + x1
-    c = max(0.0, max(s0, s1))
+    c = max(0.0, max(map(operator.add, lws, values)))
     if c == math.inf:
         return c
-    t0 = math.exp(s0 - c) - math.exp(lw0) if x0 - c > 1.0 else math.exp(lw0) * math.expm1(x0 - c)
-    t1 = math.exp(s1 - c) - math.exp(lw1) if x1 - c > 1.0 else math.exp(lw1) * math.expm1(x1 - c)
-    return c + math.log1p(t0 + t1)
+    exp, expm1 = math.exp, math.expm1
+    terms = (exp(lw + x - c) - w if x - c > 1.0 else w * expm1(x - c) for lw, w, x in zip(lws, ws, values))
+    return c + math.log1p(math.fsum(terms))

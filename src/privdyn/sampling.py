@@ -7,7 +7,9 @@ Two batch-generation schemes on top of the fixed-batch dynamics:
   inequality exp((a-1)R(mix)) <= avg exp((a-1)R(component));
 * sampling without replacement: a fresh uniform batch every iteration; the
   bound iterates a log-domain moment surrogate S (S overflows float64 within
-  a few epochs at large alpha), one two-term mixture-kernel call per step.
+  a few epochs at large alpha). One loop runs the recursion, with the
+  two-term mixture kernel written out in each step, and yields the bound at
+  every epoch's end, so a curve over K costs one run.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from .dynamics import (
     _require_strongly_convex,
     _require_two_batches,
 )
-from .numerics import _logsumexp2, logsumexp
+from .numerics import logsumexp
 from .params import AccountingParams
 
 __all__ = [
     "bound_shuffle",
     "shuffle_limit",
     "bound_samp_wo_replacement",
-    "samp_wo_log_steps",
     "samp_wo_epochs",
     "samp_wo_limit",
 ]
@@ -72,47 +73,51 @@ def shuffle_limit(params: AccountingParams, alpha: float) -> float:
     return _head_limit(params, alpha) + shuffle_avg_term(params, alpha)
 
 
-def samp_wo_log_steps(params: AccountingParams, alpha: float) -> Iterator[float]:
-    """log S after each step of the samp-wo recursion, for steps 1..K*m.
+def samp_wo_epochs(params: AccountingParams, alpha: float) -> Iterator[float]:
+    """The samp-wo bound at K = 1, 2, ..., params.epochs from one run of the recursion.
 
-    l <- log(q*e^((a-1)*eps1 + l) + (1-q)*e^(r*l)) from l = 0. The true
-    sequence increases strictly toward its fixed point, so the first step
-    that makes no progress in float64 ends the iteration early: every
-    further step would return the same value.
+    The recursion is l <- log(q*e^((a-1)*eps1 + l) + (1-q)*e^(r*l)) from
+    l = log S = 0, each step numerics.logsumexp((ln q, ln(1-q)),
+    ((a-1)*eps1 + l, r*l)) written out with the same float operations, so
+    equal bit for bit. The true sequence increases strictly toward its fixed
+    point, so the first step that makes no progress in float64 ends the run:
+    every later step would return the same value. The run then yields that
+    value for the epoch it ends in, and every later epoch has it too.
     """
     _check_alpha(alpha)
     _require_strongly_convex(params, "the samp-wo recursion")
-    q, r = params.q, params.r
+    q, r, scale = params.q, params.r, alpha - 1.0
     # q = 1 is pure composition: the contracted branch has weight 0
     lw0, lw1 = math.log(q), math.log1p(-q) if q < 1.0 else -math.inf
-    gain = (alpha - 1.0) * params.eps1(alpha)
+    w0, w1 = math.exp(lw0), math.exp(lw1)
+    gain = scale * params.eps1(alpha)
+    exp, expm1, log1p, inf = math.exp, math.expm1, math.log1p, math.inf
     log_s = 0.0
-    for _ in range(params.steps):
-        nxt = _logsumexp2(lw0, gain + log_s, lw1, r * log_s)
-        if nxt <= log_s:
-            return
-        log_s = nxt
-        yield log_s
+    for _ in range(params.epochs):
+        for _ in range(params.m):
+            x0, x1 = gain + log_s, r * log_s
+            s0, s1 = lw0 + x0, lw1 + x1
+            c = s1 if s1 > s0 else s0  # max(0.0, max(s0, s1)), -0.0 and nan included
+            if not c > 0.0:
+                c = 0.0
+            if c == inf:
+                nxt = c
+            else:
+                # the excess over 1 of the weighted sum, each term formed as logsumexp forms it
+                t0 = exp(s0 - c) - w0 if x0 - c > 1.0 else w0 * expm1(x0 - c)
+                t1 = exp(s1 - c) - w1 if x1 - c > 1.0 else w1 * expm1(x1 - c)
+                nxt = c + log1p(t0 + t1)  # two terms: t0 + t1 rounds as fsum does
+            if nxt <= log_s:
+                yield log_s / scale
+                return
+            log_s = nxt
+        yield log_s / scale
 
 
 def bound_samp_wo_replacement(params: AccountingParams, alpha: float) -> float:
     """Sampling-without-replacement bound: log(S_K)/(alpha-1) after K*m steps."""
-    # the steps increase, so the last one is the largest
-    return max(samp_wo_log_steps(params, alpha), default=0.0) / (alpha - 1.0)
-
-
-def samp_wo_epochs(params: AccountingParams, alpha: float) -> Iterator[float]:
-    """The samp-wo bound at K = 1, 2, ..., params.epochs from one run of the recursion.
-
-    Ends early when the recursion reaches its float64 fixed point: every
-    later epoch has the last value yielded (0.0 if none was).
-    """
-    step, log_s = 0, 0.0
-    for step, log_s in enumerate(samp_wo_log_steps(params, alpha), start=1):
-        if step % params.m == 0:
-            yield log_s / (alpha - 1.0)
-    if step % params.m:  # stopped inside an epoch, which ends at the fixed point
-        yield log_s / (alpha - 1.0)
+    # the values never fall, so the last one is the largest
+    return max(samp_wo_epochs(params, alpha), default=0.0)
 
 
 def samp_wo_limit(params: AccountingParams, alpha: float) -> float:

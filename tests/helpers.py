@@ -127,6 +127,28 @@ def mixture_rdp(mixtures: Sequence[tuple[float, float]], alpha: float) -> float:
     return logsumexp(log_weights, [scale * e for _, e in mixtures]) / scale
 
 
+def samp_wo_reference_steps(params: AccountingParams, alpha: float) -> list[float]:
+    """log S after each step of the samp-wo recursion, each step through the generic kernel
+    numerics.logsumexp, up to the first step that makes no progress (where the library's run stops)."""
+    log_weights = (math.log(params.q), math.log1p(-params.q) if params.q < 1.0 else -math.inf)
+    gain, log_s, steps = (alpha - 1.0) * params.eps1(alpha), 0.0, []
+    for _ in range(params.steps):
+        nxt = logsumexp(log_weights, (gain + log_s, params.r * log_s))
+        if nxt <= log_s:
+            break
+        log_s = nxt
+        steps.append(log_s)
+    return steps
+
+
+def samp_wo_reference_epochs(params: AccountingParams, alpha: float) -> list[float]:
+    """What sampling.samp_wo_epochs yields, read from the reference steps: the bound at each
+    epoch's end, and the last value once more, for the epoch it stops in, when the run stops early."""
+    steps, scale = samp_wo_reference_steps(params, alpha), alpha - 1.0
+    ends = [log_s / scale for log_s in steps[params.m - 1::params.m]]
+    return ends + [(steps[-1] if steps else 0.0) / scale] if len(steps) < params.steps else ends
+
+
 def check_joint_convexity(mixtures: Sequence[tuple[float, float]], alpha: float) -> bool:
     """Property-test helper for the mixture inequality.
 

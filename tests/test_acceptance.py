@@ -31,9 +31,15 @@ from privdyn import (
     verify_dominance,
     with_sigma,
 )
-from privdyn.sampling import samp_wo_log_steps
+from privdyn.sampling import samp_wo_epochs
 
-from helpers import closed_form_law, gaussian_trajectory, recursion_coefficients
+from helpers import (
+    closed_form_law,
+    gaussian_trajectory,
+    recursion_coefficients,
+    samp_wo_reference_epochs,
+    samp_wo_reference_steps,
+)
 
 
 def ref_at(epochs, lam=1.0, beta=4.0):
@@ -152,10 +158,12 @@ def test_criterion_06_shuffle_crossover():
 
 def test_criterion_07_samp_wo_recursion():
     with criterion("AC-7 samp-wo recursion: one-step value, domains, state"):
-        first = next(samp_wo_log_steps(ref_at(1), 10))
+        first = samp_wo_reference_steps(ref_at(1), 10)[0]
         assert first / 9 == pytest.approx(0.0024975, abs=1e-6)
         p80 = ref_at(80)
-        logs = [0.0, *samp_wo_log_steps(p80, 10)]
+        logs = [0.0, *samp_wo_reference_steps(p80, 10)]
+        # the library's run is these steps, read at each epoch's end
+        assert list(samp_wo_epochs(p80, 10)) == samp_wo_reference_epochs(p80, 10)
         # linear-domain recursion while S < 1e30
         q, gain, r = p80.q, math.exp(9 * p80.eps1(10)), p80.r
         s = 1.0

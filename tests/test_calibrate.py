@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from helpers import full_converted_eps, reference_calibrate_noise, reference_max_epochs
+from helpers import (
+    full_converted_eps,
+    reference_calibrate_noise,
+    reference_max_epochs,
+    samp_wo_reference_steps,
+)
 from privdyn import sampling
 from privdyn import (
     DEFAULT_ALPHA_GRID,
@@ -129,17 +134,15 @@ def test_evaluate_bound_matches_direct_calls(ref_params):
         BoundKind.MIXING_DIFFUSION_LAST: mixing_diffusion_last_batch,
     }
     assert set(direct) == set(BoundKind)
-    short = with_epochs(ref_params, 6)
+    at_k = [with_epochs(ref_params, k) for k in range(1, 7)]
     for kind, bound in direct.items():
         family = kind.at(j0 if kind is BoundKind.FIXED else None)
         for alpha in (1.5, 10, 64.0):
             assert family.eps(ref_params, alpha) == bound(ref_params, alpha)
             if kind is not BoundKind.FIXED:
                 assert evaluate_bound(ref_params, alpha, kind) == bound(ref_params, alpha)
-        # the curve (one recursion pass for samp-wo) matches the per-epoch calls
-        assert family.curve(short, 10.0) == [
-            bound(with_epochs(short, k), 10.0) for k in range(1, 7)
-        ]
+        # the curve (one pass for samp-wo and shuffle) matches the per-epoch calls
+        assert family.curve(at_k[-1], 10.0) == [bound(p, 10.0) for p in at_k]
     assert BoundKind("improved-last").family is BoundKind.FIXED_LAST_BATCH.family
     with pytest.raises(AccountingError, match="j0"):
         evaluate_bound(ref_params, 10, BoundKind.FIXED)
@@ -181,16 +184,22 @@ def test_solvers_reject_non_finite_or_zero_targets(ref_params, target):
 
 
 def count_samp_wo_steps(monkeypatch):
-    """Count the steps of every samp-wo recursion run from here on: [steps so far]."""
+    """Count the steps of every samp-wo recursion run from here on: [steps so far].
+
+    The run yields once per epoch, so each yield counts that epoch's m steps.
+    A run that stops at its fixed point yields once more, for the epoch it
+    stops in, and the count takes that epoch in full: an upper bound on the
+    steps run.
+    """
     steps = [0]
-    recursion = sampling.samp_wo_log_steps
+    recursion = sampling.samp_wo_epochs
 
     def counted(params, alpha):
-        for log_s in recursion(params, alpha):
-            steps[0] += 1
-            yield log_s
+        for eps in recursion(params, alpha):
+            steps[0] += params.m
+            yield eps
 
-    monkeypatch.setattr(sampling, "samp_wo_log_steps", counted)
+    monkeypatch.setattr(sampling, "samp_wo_epochs", counted)
     return steps
 
 
@@ -202,13 +211,13 @@ def test_max_epochs_samp_wo_reads_one_pass_per_order(ref_params, monkeypatch):
     calls = count_samp_wo_steps(monkeypatch)
     k = max_epochs(ref_params, GRID, target, 1e-5, BoundKind.SAMP_WO)
     assert isinstance(k, int) and k >= 1
-    assert calls[0] <= len(GRID) * (k + 1) * ref_params.m
+    assert 0 < calls[0] <= len(GRID) * (k + 1) * ref_params.m
     assert k == reference_max_epochs(ref_params, GRID, target, 1e-5, BoundKind.SAMP_WO)
     for alpha in GRID:
         calls[0] = 0
         k_alpha = max_epochs(ref_params, [alpha], target, 1e-5, BoundKind.SAMP_WO)
         if isinstance(k_alpha, int):
-            assert calls[0] <= (k_alpha + 1) * ref_params.m
+            assert 0 < calls[0] <= (k_alpha + 1) * ref_params.m
             assert k_alpha <= k
 
 
@@ -328,7 +337,7 @@ def test_samp_wo_converted_eps_work_count_on_the_logistic_setting(monkeypatch):
     steps = count_samp_wo_steps(monkeypatch)
     eps = converted_eps(params, DEFAULT_ALPHA_GRID, 1e-5, BoundKind.SAMP_WO)
     assert eps == 5.222606761981403  # every order evaluated in full
-    assert steps[0] <= 10_000
+    assert 0 < steps[0] <= 10_000
 
 
 def _error(call, *args):
@@ -364,3 +373,53 @@ def test_samp_wo_converted_eps_at_lambda_zero_names_the_recursion(ref_params_con
     with pytest.raises(RegularityMismatch) as raised:
         converted_eps(ref_params_convex, DEFAULT_ALPHA_GRID, 1e-5, BoundKind.SAMP_WO)
     assert str(raised.value) == "the samp-wo recursion needs a strongly convex loss (lambda > 0)"
+
+
+def test_every_kind_curve_equals_eps_at_each_k():
+    # Family.curve's one-pass ways give what eps gives at each K, bit for bit
+    rng = random.Random("curves")
+    cases = []
+    for kind in BoundKind:
+        for case in range(40):
+            b = rng.choice((1, 2))
+            params = make_params(
+                n=b * rng.randint(2, 1000 if kind is BoundKind.SHUFFLE else 40), b=b,
+                eta=10 ** rng.uniform(-3, math.log10(0.3)),
+                epochs=1 if case % 5 == 0 else rng.randint(2, 12), sigma=10 ** rng.uniform(-0.5, 1.5),
+                lam=rng.uniform(0.25, 2.0), beta=4.0, s_g=4.0,
+            )
+            cases.append((kind, params, rng.choice(DEFAULT_ALPHA_GRID)))
+    # samp-wo runs that stop inside an epoch (step 891 of 1000), at an epoch's first step
+    # (after 46 epochs of 3 steps), and at q = 1
+    for n, eta, epochs, alpha in ((50, 0.02, 40, 10.0), (6, 0.2, 60, 2.0), (2, 0.02, 5, 10.0)):
+        params = make_params(n=n, b=2, eta=eta, epochs=epochs, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
+        cases.append((BoundKind.SAMP_WO, params, alpha))
+    seen = set()
+    for kind, params, alpha in cases:
+        family = kind.at(rng.randrange(params.m))  # kind fixed takes a batch index
+        at_k = [with_epochs(params, k) for k in range(1, params.epochs + 1)]
+        expected = [family.eps(p, alpha) for p in at_k]
+        # built here or passed in by a caller, the per-K params give the same curve
+        assert family.curve(params, alpha) == expected, (kind, params, alpha)
+        assert family.curve(params, alpha, at_k) == expected, (kind, params, alpha)
+        if kind is BoundKind.SAMP_WO:
+            steps = len(samp_wo_reference_steps(params, alpha))
+            seen.add("q = 1" if params.q == 1.0 else "q < 1")
+            seen.add("K = 1" if params.epochs == 1 else "K > 1")
+            if steps < params.steps:
+                seen.add("stop inside an epoch" if steps % params.m else "stop at an epoch's first step")
+    assert seen == {"q = 1", "q < 1", "K = 1", "K > 1",
+                    "stop inside an epoch", "stop at an epoch's first step"}
+
+
+@pytest.mark.parametrize("kind, lam, n, alpha, message", [
+    (BoundKind.SHUFFLE, 0.0, 50, 10.0, "bound_shuffle needs a strongly convex loss (lambda > 0)"),
+    (BoundKind.SHUFFLE, 1.0, 2, 10.0, "bound_shuffle needs floor(n/b) >= 2, got m = 1"),
+    (BoundKind.SHUFFLE, 1.0, 50, 1.0, "Renyi order alpha must be finite and > 1, got 1.0"),
+    (BoundKind.SAMP_WO, 0.0, 50, 10.0,
+     "the samp-wo recursion needs a strongly convex loss (lambda > 0)"),
+])
+def test_curve_raises_the_eps_error(kind, lam, n, alpha, message):
+    params = make_params(n=n, b=2, eta=0.02, epochs=3, sigma=2.0, lam=lam, beta=4.0, s_g=4.0)
+    assert _error(kind.family.curve, params, alpha)[1] == message
+    assert _error(kind.family.curve, params, alpha) == _error(kind.family.eps, params, alpha)

@@ -164,6 +164,19 @@ BAD_INPUTS = {
     "curve-timestamp": ("InputError: unrecognized arguments: --timestamp", (
         "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2",
         "--timestamp")),
+    "curve-no-kinds": ("AccountingError: --kinds must list at least one bound family", (
+        "curve", "--kinds", ",", *REF_FLAGS, "--alpha", "10", "--epochs-max", "2")),
+    # the error names the flag that set the epoch count
+    "curve-epochs-zero": ("AccountingError: --epochs must be >= 1 for curves", (
+        "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs", "0")),
+    "curve-epochs-max-zero": ("AccountingError: --epochs-max must be >= 1 for curves", (
+        "curve", "--kinds", "naive", *REF_FLAGS, "--alpha", "10", "--epochs-max", "0")),
+    # every curve is evaluated before any is printed: a failing later curve leaves no output
+    "curve-later-curve-fails": ("RegularityMismatch: bound_shuffle needs a strongly convex loss", (
+        "curve", "--kinds", "fixed-last,shuffle", *REF_FLAGS, "--lambda", "0", "--alpha", "10",
+        "--epochs-max", "2")),
+    "curve-last-curve-fails": ("AccountingError: sgm order 20000 exceeds", (
+        "curve", "--kinds", "naive,sgm", *REF_FLAGS, "--alpha", "10,20000", "--epochs-max", "2")),
 }
 
 
@@ -380,6 +393,30 @@ def test_curve_refuses_a_repeated_label_before_any_output(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and label in err, err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["curve-later-curve-fails", "curve-last-curve-fails"])
+def test_curve_failing_curve_writes_no_file(capsys, tmp_path, case):
+    name, argv = BAD_INPUTS[case]
+    out_dir = tmp_path / "curves"
+    code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and name in err, err
+    assert not out_dir.exists()
+
+
+def test_curve_builds_the_per_k_params_once_and_only_when_read(capsys, monkeypatch):
+    from privdyn import calibrate
+    built, real = [], calibrate.with_epochs
+    monkeypatch.setattr(calibrate, "with_epochs", lambda params, k: built.append(k) or real(params, k))
+    # samp-wo's epoch scan reads the params at the last K alone
+    code, _, _ = run(capsys, "curve", "--kinds", "samp-wo", *REF_FLAGS, "--alpha", "10,20",
+                     "--epochs-max", "50")
+    assert (code, built) == (0, [])
+    # one list of per-K params serves all six curves
+    code, _, _ = run(capsys, "curve", "--kinds", "samp-wo,shuffle,naive", *REF_FLAGS,
+                     "--alpha", "10,20", "--epochs-max", "50")
+    assert (code, built) == (0, list(range(1, 51)))
 
 
 def test_calibrate_sigma_round_trip(capsys):

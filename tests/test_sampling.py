@@ -15,10 +15,15 @@ from privdyn import (
     samp_wo_limit,
     with_epochs,
 )
-from privdyn.numerics import _logsumexp2, logsumexp
-from privdyn.sampling import samp_wo_log_steps, shuffle_avg_term
+from privdyn.numerics import logsumexp
+from privdyn.sampling import samp_wo_epochs, shuffle_avg_term
 
-from helpers import check_joint_convexity, mixture_rdp
+from helpers import (
+    check_joint_convexity,
+    mixture_rdp,
+    samp_wo_reference_epochs,
+    samp_wo_reference_steps,
+)
 
 
 def linear_domain_samp_wo(params, alpha, steps):
@@ -66,9 +71,11 @@ def test_shuffle_sandwiched_by_fixed_bounds(ref_params):
 
 def test_samp_wo_one_step():
     p = make_params(n=50, b=2, eta=0.02, epochs=1, sigma=2.0, lam=1.0, beta=4.0, s_g=4.0)
-    first = next(samp_wo_log_steps(p, 10))
+    first = samp_wo_reference_steps(p, 10)[0]
     # ln(0.04*e^0.45 + 0.96)/9, frozen from 60-digit evaluation
     assert first / 9 == pytest.approx(0.002497550516593540, rel=1e-10)
+    # the library runs the same steps and yields the epoch's last one
+    assert list(samp_wo_epochs(p, 10)) == samp_wo_reference_epochs(p, 10)
 
 
 def test_samp_wo_full_batch_is_pure_composition():
@@ -83,14 +90,18 @@ def test_samp_wo_lambda_zero_limit_is_linear_growth():
     # r -> 1 turns the recursion into S <- (q*e^((a-1)eps1) + 1 - q)*S
     p = make_params(n=50, b=2, eta=0.02, epochs=4, sigma=2.0, lam=1e-15, beta=4.0, s_g=4.0)
     per_step = math.log(p.q * math.exp(9 * p.eps1(10)) + 1 - p.q)
-    for step, log_s in enumerate(samp_wo_log_steps(p, 10), start=1):
-        assert log_s == pytest.approx(step * per_step, rel=1e-9)
+    eps = list(samp_wo_epochs(p, 10))
+    assert len(eps) == p.epochs
+    for k, eps_k in enumerate(eps, start=1):
+        assert 9 * eps_k == pytest.approx(k * p.m * per_step, rel=1e-9)
 
 
 def test_samp_wo_state_invariants(ref_params):
     p = with_epochs(ref_params, 80)
-    logs = [0.0, *samp_wo_log_steps(p, 10)]
+    logs = [0.0, *samp_wo_reference_steps(p, 10)]
     assert len(logs) <= p.steps + 1  # the recursion may stop at its fixed point
+    # the library runs these steps, read at each epoch's end
+    assert list(samp_wo_epochs(p, 10)) == samp_wo_reference_epochs(p, 10)
     assert all(b >= a for a, b in zip(logs, logs[1:]))
     assert all(log_s >= 0.0 for log_s in logs)  # S >= 1 throughout
     # log-domain vs linear-domain while S < 1e30
@@ -112,9 +123,9 @@ def test_samp_wo_converges_to_fixed_point(ref_params):
 def test_samp_wo_curve_row_k_equals_bound_at_k(ref_params, epochs, alpha):
     # at alpha = 10 the recursion stops early (step 891 of 2000), mid-epoch;
     # at alpha = 30 it diverges and runs every step
-    p = with_epochs(ref_params, epochs)
-    curve = BoundKind.SAMP_WO.family.curve(p, alpha)
-    assert curve == [bound_samp_wo_replacement(with_epochs(p, k), alpha) for k in range(1, epochs + 1)]
+    at_k = [with_epochs(ref_params, k) for k in range(1, epochs + 1)]
+    curve = BoundKind.SAMP_WO.family.curve(at_k[-1], alpha)
+    assert curve == [bound_samp_wo_replacement(p, alpha) for p in at_k]
 
 
 @pytest.mark.parametrize(
@@ -123,8 +134,8 @@ def test_samp_wo_curve_row_k_equals_bound_at_k(ref_params, epochs, alpha):
 )
 def test_samp_wo_early_stop_ends_at_limit(sigma, eta, alpha, epochs):
     p = make_params(n=50, b=2, eta=eta, epochs=epochs, sigma=sigma, lam=1.0, beta=4.0, s_g=4.0)
-    steps = sum(1 for _ in samp_wo_log_steps(p, alpha))
-    assert steps < p.steps
+    # the run ends before the last epoch
+    assert len(list(samp_wo_epochs(p, alpha))) < p.epochs
     assert bound_samp_wo_replacement(p, alpha) == pytest.approx(samp_wo_limit(p, alpha), rel=1e-12)
 
 
@@ -195,19 +206,31 @@ def test_parallel_sweeps_match_sequential(ref_params):
 
 
 def test_two_term_step_equals_logsumexp_bit_for_bit():
+    # samp_wo_epochs writes the two-term kernel out in its loop: pin it to numerics.logsumexp
+    # through the reference recursion on 5000 short seeded runs, every branch of the step taken
     rng = random.Random("logsumexp2")
     branches = set()
     for case in range(5000):
-        q = 1.0 if case % 10 == 0 else 10 ** rng.uniform(-6, 0)
-        lw0, lw1 = math.log(q), math.log1p(-q) if q < 1.0 else -math.inf
-        x0, x1 = (rng.choice((0.0, 10 ** rng.uniform(-12, 3))) for _ in range(2))
-        if case % 50 == 1:
-            x0 = math.inf  # c = inf
-        lw, x = (lw0, lw1), (x0, x1)
-        c = max(0.0, max(w + v for w, v in zip(lw, x)))
-        branches.update(v - c > 1.0 for v in x if c < math.inf)
-        assert _logsumexp2(lw0, x0, lw1, x1) == logsumexp(lw, x)
-    assert branches == {False, True}
+        b = rng.choice((1, 2))
+        # q = 1 (n = b) makes lw1 = -inf; a huge order makes c = inf
+        n = b if case % 10 == 0 else b * rng.randint(2, 12)
+        p = make_params(
+            n=n, b=b, eta=10 ** rng.uniform(-4, math.log10(0.2)), epochs=rng.randint(1, 3),
+            sigma=10 ** rng.uniform(-1, 3), lam=rng.uniform(0.1, 2.0), beta=4.0, s_g=4.0,
+        )
+        alpha = 1e200 if case % 50 == 1 else rng.choice(DEFAULT_ALPHA_GRID)
+        steps = samp_wo_reference_steps(p, alpha)
+        assert list(samp_wo_epochs(p, alpha)) == samp_wo_reference_epochs(p, alpha)
+        lw = (math.log(p.q), math.log1p(-p.q) if p.q < 1.0 else -math.inf)
+        gain = (alpha - 1.0) * p.eps1(alpha)
+        for log_s in [0.0, *steps][:p.steps]:  # the input of every step run
+            x = (gain + log_s, p.r * log_s)
+            c = max(0.0, max(w + v for w, v in zip(lw, x)))
+            branches.add("c = inf" if c == math.inf else "c < inf")
+            branches.update(f"x - c > 1: {v - c > 1.0}" for v in x if c < math.inf)
+        branches.add(f"lw1 = -inf: {lw[1] == -math.inf}")
+    assert branches == {"c = inf", "c < inf", "x - c > 1: True", "x - c > 1: False",
+                        "lw1 = -inf: True", "lw1 = -inf: False"}
 
 
 def test_samp_wo_steps_equal_the_generic_kernel_recursion():
@@ -220,16 +243,8 @@ def test_samp_wo_steps_equal_the_generic_kernel_recursion():
             lam=rng.uniform(0.1, 2.0), beta=4.0, s_g=4.0,
         )
         alpha = rng.choice(DEFAULT_ALPHA_GRID)
-        # the recursion through logsumexp, as written before the two-term step
-        log_weights = (math.log(p.q), math.log1p(-p.q) if p.q < 1.0 else -math.inf)
-        gain, log_s, expected = (alpha - 1.0) * p.eps1(alpha), 0.0, []
-        for _ in range(p.steps):
-            nxt = logsumexp(log_weights, (gain + log_s, p.r * log_s))
-            if nxt <= log_s:
-                break
-            log_s = nxt
-            expected.append(log_s)
-        assert list(samp_wo_log_steps(p, alpha)) == expected
+        # the recursion through logsumexp, as written before the step was inlined
+        assert list(samp_wo_epochs(p, alpha)) == samp_wo_reference_epochs(p, alpha)
 
 
 def test_shuffle_tail_equals_per_term_reference_bit_for_bit():
@@ -244,4 +259,5 @@ def test_shuffle_tail_equals_per_term_reference_bit_for_bit():
         alpha = rng.choice(DEFAULT_ALPHA_GRID)
         scale = alpha - 1.0
         exponents = [scale * eps0_term(p, alpha, j) for j in range(1, p.m + 1)]
-        assert shuffle_avg_term(p, alpha) == logsumexp(-math.log(p.m), exponents) / scale
+        # one log-weight per term: the kernel forms each term's weight itself
+        assert shuffle_avg_term(p, alpha) == logsumexp([-math.log(p.m)] * p.m, exponents) / scale
