@@ -46,7 +46,6 @@ from .convert import (
 from .calibrate import (
     MAXED_OUT,
     BoundKind,
-    MaxedOut,
     Unsatisfiable,
     bound_limit,
     calibrate_noise,

@@ -17,7 +17,6 @@ __all__ = [
     "Unsatisfiable",
     "Family",
     "BoundKind",
-    "MaxedOut",
     "MAXED_OUT",
     "evaluate_bound",
     "bound_limit",
@@ -36,6 +35,8 @@ class Unsatisfiable(AccountingError):
 
 
 Bound = Callable[[AccountingParams, float], float]
+# eps at one order as a function of params that differ only in epochs, and the K -> infinity limit
+Order = tuple[Callable[[AccountingParams], float], Callable[[], float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,17 +44,19 @@ class Family:
     """One bound family at one order alpha.
 
     ``eps`` is the RDP bound at params.epochs; ``limit`` its K -> infinity
-    limit (inf for the families that grow linearly in K); ``epoch_scan``,
-    when set, yields eps at K = 1..params.epochs from one pass and may end
-    early, after which every later epoch has the last value yielded; its values never fall.
-    ``eps_curve``, when set, gives eps at each params of a list in one call,
-    forming once what does not depend on K. Two one-pass hooks exist because
-    ``epoch_scan`` is also read by ``converted_eps``, ``calibrate_noise`` and
-    ``max_epochs``, which then take their per-epoch paths; ``eps_curve`` is
-    read by ``curve`` alone. ``curve`` takes ``epoch_scan`` when set, else
-    ``eps_curve`` when set, else ``eps`` once per K; each gives values equal
-    to ``eps`` at every K.
+    limit (inf for the families that grow linearly in K). Two hooks give one
+    order at many K for less work, and each gives values equal to ``eps``:
 
+    - ``epoch_scan``, when set, yields eps at K = 1..params.epochs from one
+      pass and may end early, after which every later epoch has the last
+      value yielded; its values never fall.
+    - ``per_order``, when set, takes params with epochs >= 1 and forms once
+      what does not depend on K (shuffle's tail, sgm's per-step RDP); see
+      ``at_order``.
+
+    ``curve`` and ``max_epochs`` read eps from ``epoch_scan`` when set, else
+    from ``per_order`` when set; ``max_epochs`` reads every order's limit from
+    ``at_order``.
     The entries call into the other layers through module attributes
     (``sampling.bound_shuffle``, not a captured function), so a wrapper
     installed on a module binding sees every call.
@@ -62,7 +65,14 @@ class Family:
     eps: Bound
     limit: Bound = lambda params, alpha: math.inf
     epoch_scan: Optional[Callable[[AccountingParams, float], Iterator[float]]] = None
-    eps_curve: Optional[Callable[[Sequence[AccountingParams], float], list[float]]] = None
+    per_order: Optional[Callable[[AccountingParams, float], Order]] = None
+
+    def at_order(self, params: AccountingParams, alpha: float) -> Order:
+        """eps at alpha as a function of params that differ from ``params`` (epochs >= 1)
+        only in epochs, and the limit: ``per_order``'s pair, else ``eps`` and ``limit``."""
+        if self.per_order is not None:
+            return self.per_order(params, alpha)
+        return (lambda p: self.eps(p, alpha)), (lambda: self.limit(params, alpha))
 
     def curve(
         self, params: AccountingParams, alpha: float, at_k: Optional[Sequence[AccountingParams]] = None
@@ -75,17 +85,25 @@ class Family:
             return eps + [eps[-1] if eps else 0.0] * (params.epochs - len(eps))
         if at_k is None:
             at_k = [with_epochs(params, k) for k in range(1, params.epochs + 1)]
-        if self.eps_curve is not None:
-            return self.eps_curve(at_k, alpha)
-        return [self.eps(p, alpha) for p in at_k]
+        if self.per_order is None or not at_k:
+            return [self.eps(p, alpha) for p in at_k]
+        eps_at, _ = self.per_order(at_k[0], alpha)
+        return list(map(eps_at, at_k))
 
 
-def _shuffle_curve(at_k: Sequence[AccountingParams], alpha: float) -> list[float]:
-    """The shuffle bound at each of at_k: the K-free tail formed once, from the first
-    params, whose bound_shuffle call makes the family's checks and raises its errors."""
-    tail = sampling.bound_shuffle(at_k[0], alpha).tail
-    # HeadTail.eps is head + tail
-    return [dynamics._head(params, alpha) + tail for params in at_k]
+def _shuffle_order(params: AccountingParams, alpha: float) -> Order:
+    """The shuffle bound at one order, its K-free tail formed once by the bound_shuffle
+    call that makes the family's checks and raises its errors; HeadTail.eps is head + tail,
+    and shuffle_limit is _head_limit + tail."""
+    tail = sampling.bound_shuffle(params, alpha).tail
+    return (lambda p: dynamics._head(p, alpha) + tail), (lambda: dynamics._head_limit(params, alpha) + tail)
+
+
+def _sgm_order(params: AccountingParams, alpha: float) -> Order:
+    """The sgm bound at one order: sgm_eps's per-step RDP formed once, times the steps."""
+    dynamics._check_alpha(alpha)
+    step = baselines.sgm_rdp_per_step(params.q, baselines._sigma_eff(params), baselines.sgm_order(alpha))
+    return (lambda p: p.steps * step), (lambda: math.inf)
 
 
 def _fixed_partition(j0_of: Callable[[AccountingParams], int]) -> Family:
@@ -113,7 +131,7 @@ class BoundKind(enum.Enum):
     SHUFFLE = "shuffle", Family(
         eps=lambda p, a: sampling.bound_shuffle(p, a).eps,
         limit=lambda p, a: sampling.shuffle_limit(p, a),
-        eps_curve=_shuffle_curve,
+        per_order=_shuffle_order,
     )
     SAMP_WO = "samp-wo", Family(
         eps=lambda p, a: sampling.bound_samp_wo_replacement(p, a),
@@ -124,7 +142,7 @@ class BoundKind(enum.Enum):
     IMPROVED_LAST = "improved-last", _LAST_BATCH
     IMPROVED_FIRST = "improved-first", _fixed_partition(lambda p: 0)
     FIXED = "fixed", _fixed_partition(_j0_missing)
-    SGM_COMPOSITION = "sgm", Family(eps=lambda p, a: baselines.sgm_eps(p, a))
+    SGM_COMPOSITION = "sgm", Family(eps=lambda p, a: baselines.sgm_eps(p, a), per_order=_sgm_order)
     NAIVE = "naive", Family(
         eps=lambda p, a: dynamics.bound_naive_baseline(p, a),
         limit=lambda p, a: dynamics.naive_baseline_limit(p, a),
@@ -149,13 +167,7 @@ class BoundKind(enum.Enum):
         return self.family
 
 
-class MaxedOut(enum.Enum):
-    """Sentinel for 'the bound converges below the budget: unlimited epochs'."""
-
-    MAXED_OUT = "maxed_out"
-
-
-MAXED_OUT = MaxedOut.MAXED_OUT
+MAXED_OUT = math.inf  # max_epochs' answer when the bound converges below the budget
 
 
 def evaluate_bound(params: AccountingParams, alpha: float, kind: BoundKind) -> float:
@@ -238,10 +250,13 @@ def calibrate_noise(
     are taken by their eps at sigma = 1e-6 per unit of room, which ranks
     them by sigma_alpha exactly for the families that scale as 1/sigma^2.
     An order that misses the target at the best sigma so far is skipped
-    after that one evaluation; any other is bisected in log space inside
-    [1e-6, best] to a relative 1e-10; a family with an epoch scan stops a
-    check at its first epoch over the target. Every bound decreases in
-    sigma. The incoming params.sigma is ignored.
+    after that one check; a family with an epoch scan stops the check at its
+    first epoch over the target. Any other order is solved inside
+    [1e-6, best] to a relative 1e-10 by regula falsi in t = 1/sigma^2, where
+    every family is convex and increasing, with the Illinois safeguard: a
+    linear family is done in about 3 evaluations. Its probes read eps in
+    full, and one that is not finite or leaves the bracket falls back to the
+    geometric midpoint. The incoming params.sigma is ignored.
     """
     _check_target(target_eps)
     lo, hi = _SIGMA_BRACKET
@@ -250,23 +265,36 @@ def calibrate_noise(
     points = [RdpPoint(alpha=a, eps=family.eps(at_lo, a)) for a in alpha_grid]
     if rdp_to_dp(points, delta).eps <= target_eps:
         return lo
-
-    def fits(at: AccountingParams, alpha: float) -> bool:
-        return _converted(alpha, _capped_eps(family, at, alpha, delta, target_eps), delta) <= target_eps
-
     best, at_best, found = hi, with_sigma(params, hi), False
     for index in _ranked(points, delta, target_eps):
         alpha = points[index].alpha
-        if not fits(at_best, alpha):
+
+        def excess(eps: float) -> float:
+            return _converted(alpha, eps, delta) - target_eps
+
+        # the bracket's ends: sigma with the excess of its converted eps over the target
+        above, at_above = best, at_best
+        above_excess = excess(_capped_eps(family, at_best, alpha, delta, target_eps))
+        if above_excess > 0:
             continue
-        below, above, at_above = lo, best, at_best
+        below, below_excess, moved = lo, excess(points[index].eps), None
         while above - below > 1e-10 * above:
-            mid = math.sqrt(below * above)  # sigma spans decades; bisect in log space
-            at_mid = with_sigma(params, mid)
-            if fits(at_mid, alpha):
-                above, at_above = mid, at_mid
+            # the secant through both ends in t = 1/sigma^2: nan when below's excess is inf
+            t = (above**-2 * below_excess - below**-2 * above_excess) / (below_excess - above_excess)
+            sigma = 1.0 / math.sqrt(t)
+            if not below <= sigma <= above:
+                sigma = math.sqrt(below * above)
+            half = 0.5e-10 * above  # a probe this close to an end moves just inside it
+            sigma = min(max(sigma, below + half), above - half)
+            at = with_sigma(params, sigma)
+            probe_excess = excess(family.eps(at, alpha))
+            # Illinois: an end that stays put twice running has its excess halved
+            if probe_excess <= 0:
+                below_excess /= 2 if moved == "above" else 1
+                above, above_excess, at_above, moved = sigma, probe_excess, at, "above"
             else:
-                below = mid
+                above_excess /= 2 if moved == "below" else 1
+                below, below_excess, moved = sigma, probe_excess, "below"
         best, at_best, found = above, at_above, True
     if not found:
         raise Unsatisfiable(f"even sigma = {hi} gives eps > {target_eps} for {kind.value}")
@@ -306,40 +334,40 @@ def max_epochs(
     target_eps: float,
     delta: float,
     kind: BoundKind,
-) -> Union[int, MaxedOut]:
+) -> Union[int, float]:
     """Largest epoch count whose converted eps stays within the target.
 
-    Returns 0 when even one epoch exceeds the budget, and the MAXED_OUT
-    sentinel when the bound's K -> infinity limit already satisfies it
-    (converging families admit unlimited epochs). Otherwise the answer is
-    the largest K_alpha, each order solved alone: one evaluation at
-    best + 1 skips an order that cannot raise the best so far, and the
-    others get a doubling and bisection search of their own. A family with
-    an epoch scan instead reads each order's scan up to its first epoch
-    over the target, one pass per order.
+    Returns 0 when even one epoch exceeds the budget, and MAXED_OUT (inf)
+    when the bound's K -> infinity limit already satisfies it (converging
+    families admit unlimited epochs). Otherwise the answer is the largest
+    K_alpha, each order solved alone: one evaluation at best + 1 skips an
+    order that cannot raise the best so far, and the others get a doubling
+    and bisection search of their own. Each order's K = 1 value, limit and
+    search read ``Family.at_order``, which forms the K-free part once per
+    order. A family with an epoch scan instead reads each order's scan up to
+    its first epoch over the target, one pass per order.
     """
     _check_target(target_eps)
     family = kind.family
     grid = list(alpha_grid)
+    at_one = with_epochs(params, 1)
+    orders = [family.at_order(at_one, a) for a in grid]
     if family.epoch_scan is not None:
         # each order's pass gives K = 1 now and resumes after the limit check
         scans = [family.epoch_scan(with_epochs(params, _EPOCH_CAP), a) for a in grid]
         first = [next(scan, 0.0) for scan in scans]
     else:
-        at_one = with_epochs(params, 1)
-        first = [family.eps(at_one, a) for a in grid]
+        first = [eps_at(at_one) for eps_at, _ in orders]
     points = [RdpPoint(alpha=a, eps=eps) for a, eps in zip(grid, first)]
     if rdp_to_dp(points, delta).eps > target_eps:
         return 0
-    limit_points = [
-        RdpPoint(alpha=a, eps=bound_limit(params, a, kind)) for a in grid
-    ]
+    limit_points = [RdpPoint(alpha=a, eps=limit()) for a, (_, limit) in zip(grid, orders)]
     finite = [p for p in limit_points if math.isfinite(p.eps)]
     if finite and rdp_to_dp(finite, delta).eps <= target_eps:
         return MAXED_OUT
     best, at_next = 0, None  # at_next: params at best + 1, once best >= 1
     for index in _ranked(points, delta, target_eps):
-        alpha = points[index].alpha
+        alpha, (eps_at, _) = points[index].alpha, orders[index]
 
         def fits_eps(eps: float) -> bool:
             return _converted(alpha, eps, delta) <= target_eps
@@ -349,10 +377,8 @@ def max_epochs(
         if family.epoch_scan is not None:
             best = max(best, _scan_epochs(scans[index], fits_eps))
             continue
-        if at_next is not None and not fits_eps(family.eps(at_next, alpha)):
+        if at_next is not None and not fits_eps(eps_at(at_next)):
             continue
-        best = _last_fitting_epoch(
-            lambda k: fits_eps(family.eps(with_epochs(params, k), alpha)), best + 1
-        )
+        best = _last_fitting_epoch(lambda k: fits_eps(eps_at(with_epochs(params, k))), best + 1)
         at_next = with_epochs(params, best + 1)
     return best

@@ -19,7 +19,6 @@ from privdyn.baselines import _sigma_eff, sgm_order, sgm_rdp_per_step
 from privdyn.calibrate import (
     MAXED_OUT,
     BoundKind,
-    MaxedOut,
     Unsatisfiable,
     bound_limit,
 )
@@ -239,7 +238,7 @@ def reference_max_epochs(
     target_eps: float,
     delta: float,
     kind: BoundKind,
-) -> Union[int, MaxedOut]:
+) -> Union[int, float]:
     """Largest epoch count meeting the target, by a doubling and bisection search of the whole grid."""
 
     def eps_at(k: int) -> float:

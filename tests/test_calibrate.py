@@ -10,7 +10,7 @@ from helpers import (
     reference_max_epochs,
     samp_wo_reference_steps,
 )
-from privdyn import sampling
+from privdyn import baselines, sampling
 from privdyn import (
     DEFAULT_ALPHA_GRID,
     AccountingError,
@@ -103,8 +103,12 @@ def test_max_epochs_finite_for_linear_baseline(ref_params):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_bound_limits_dominate_finite_k(ref_params, kind):
     limit = bound_limit(ref_params, 10.0, kind)
+    # the per-order hook max_epochs reads gives the same limit and eps, bit for bit
+    eps_at, limit_at = kind.family.at_order(with_epochs(ref_params, 1), 10.0)
+    assert limit_at() == limit
     for k in (1, 10, 40, 200):
         assert evaluate_bound(with_epochs(ref_params, k), 10.0, kind) <= limit * (1 + 1e-9)
+        assert eps_at(with_epochs(ref_params, k)) == evaluate_bound(with_epochs(ref_params, k), 10.0, kind)
     if kind is BoundKind.SGM_COMPOSITION:
         assert math.isinf(limit)
 
@@ -338,6 +342,48 @@ def test_samp_wo_converted_eps_work_count_on_the_logistic_setting(monkeypatch):
     eps = converted_eps(params, DEFAULT_ALPHA_GRID, 1e-5, BoundKind.SAMP_WO)
     assert eps == 5.222606761981403  # every order evaluated in full
     assert 0 < steps[0] <= 10_000
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls made through a module binding from here on: [calls so far]."""
+    calls, real = [0], getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_calibrate_noise_shuffle_work_count_on_the_readme_setting(ref_params, monkeypatch):
+    # the README's calibrate example: log-sigma bisection formed 242 shuffle tails
+    tails = count_calls(monkeypatch, sampling, "shuffle_avg_term")
+    sigma = calibrate_noise(ref_params, DEFAULT_ALPHA_GRID, 3.0, 1e-5, BoundKind.SHUFFLE)
+    assert sigma == pytest.approx(0.3175490838, rel=1e-9)
+    assert 0 < tails[0] <= 150
+
+
+@pytest.mark.parametrize("kind, sigma, target, module, name", [
+    # the README's epochs example (unlimited), then a finite answer
+    (BoundKind.SHUFFLE, 2.0, 3.0, sampling, "shuffle_avg_term"),
+    (BoundKind.SHUFFLE, 0.9, 1.0, sampling, "shuffle_avg_term"),
+    (BoundKind.SGM_COMPOSITION, 2.0, 3.0, baselines, "sgm_rdp_per_step"),
+], ids=["shuffle-unlimited", "shuffle-finite", "sgm"])
+def test_max_epochs_forms_each_orders_k_free_part_once(ref_params, monkeypatch, kind, sigma, target, module, name):
+    # the K = 1 row, the limit and the K search each formed their own: 134, 154 and 147 calls
+    args = (with_sigma(ref_params, sigma), DEFAULT_ALPHA_GRID, target, 1e-5, kind)
+    expected = reference_max_epochs(*args)
+    calls = count_calls(monkeypatch, module, name)
+    assert max_epochs(*args) == expected
+    assert 0 < calls[0] <= len(DEFAULT_ALPHA_GRID)
+
+
+@pytest.mark.parametrize("kind", list(BoundKind))
+def test_every_kind_curve_at_no_epochs_is_empty(ref_params, kind):
+    family = kind.at(12 if kind is BoundKind.FIXED else None)
+    assert family.curve(with_epochs(ref_params, 0), 10.0) == []
+    assert family.curve(with_epochs(ref_params, 0), 10.0, []) == []
 
 
 def _error(call, *args):
